@@ -7,8 +7,10 @@
 //! scheduler / flow-network / event-queue change that shifts a virtual
 //! timestamp by even one picosecond fails this test.
 
+use detsim::metrics::MetricValue;
 use faultsim::FaultSchedule;
 use stencil_bench::{measure_exchange, node_aware_placements, weak_scaling_extent, ExchangeConfig};
+use stencil_core::Methods;
 
 /// 16 nodes x 6 ranks, weak-scaling extent 750 per GPU.
 const NODES: usize = 16;
@@ -62,6 +64,151 @@ fn preplaced_placements_are_bit_identical_to_golden() {
         bits, GOLDEN_PER_ITER_BITS,
         "precomputed placements diverged from the in-run placement phase: got {:?} s",
         r.per_iter
+    );
+}
+
+/// A 2-node × 6-rank run under one transport tier, with metrics on, so
+/// every exchange variant (staged, consolidated, CUDA-aware, persistent,
+/// partitioned) has its virtual time pinned — not just `Methods::all()`.
+struct TierPin {
+    name: &'static str,
+    /// Bit patterns of `ExchangeResult::per_iter`.
+    per_iter: [u64; 2],
+    /// `(metric id, histogram sum bits)` for `exchange/total_ps`, every
+    /// `exchange/method_ps{method}` and every `exchange/phase_ps{phase}`.
+    sums: &'static [(&'static str, u64)],
+}
+
+fn tier_config(name: &str) -> ExchangeConfig {
+    let extent = weak_scaling_extent(750, 2 * RANKS_PER_NODE);
+    let base = ExchangeConfig::new(2, RANKS_PER_NODE, extent)
+        .iters(2)
+        .metrics(true);
+    match name {
+        "staged" => base.methods(Methods::staged_only()),
+        "consolidated" => base.methods(Methods::staged_only()).consolidate(true),
+        "cuda-aware" => base
+            .methods(Methods::all_with_cuda_aware())
+            .cuda_aware(true),
+        "persistent" => base.methods(Methods::all().with_persistent()),
+        "partitioned" => base.methods(Methods::all().with_partitioned()),
+        _ => unreachable!("unknown tier {name}"),
+    }
+}
+
+/// Captured on the simulator before the exchange driver was unified. The
+/// consolidated tier differs from the staged one, which shows grouping
+/// actually formed multi-segment messages.
+const TIER_PINS: &[TierPin] = &[
+    TierPin {
+        name: "staged",
+        per_iter: [0x3f856f880e263394, 0x3f856f880e263393],
+        sums: &[
+            ("exchange/method_ps{method=staged}", 0x424d3496fd610000),
+            ("exchange/phase_ps{phase=pack}", 0x422a30cbf58c0000),
+            ("exchange/phase_ps{phase=send}", 0x424aa7ee30160000),
+            ("exchange/phase_ps{phase=unpack}", 0x424d3496fd610000),
+            ("exchange/phase_ps{phase=wait}", 0x424aa524abb10000),
+            ("exchange/total_ps", 0x424d3496fd610000),
+        ],
+    },
+    TierPin {
+        name: "consolidated",
+        per_iter: [0x3f86ded6b751833a, 0x3f86ded6b751833b],
+        sums: &[
+            ("exchange/method_ps{method=staged}", 0x424f1ae865f20000),
+            ("exchange/phase_ps{phase=pack}", 0x422af5b19f1c0000),
+            ("exchange/phase_ps{phase=send}", 0x424bc0e9bbca0000),
+            ("exchange/phase_ps{phase=unpack}", 0x424f1ae865f20000),
+            ("exchange/phase_ps{phase=wait}", 0x424bc0e9bbca0000),
+            ("exchange/total_ps", 0x424f1ae865f20000),
+        ],
+    },
+    TierPin {
+        name: "cuda-aware",
+        per_iter: [0x3f908d4d766c53ff, 0x3f908d4d766c53ff],
+        sums: &[
+            ("exchange/method_ps{method=colocated}", 0x42226c00c3c00000),
+            ("exchange/method_ps{method=cuda-aware}", 0x425674e709850000),
+            ("exchange/phase_ps{phase=pack}", 0x41fda09240800000),
+            ("exchange/phase_ps{phase=send}", 0x4253daf35c2f8000),
+            ("exchange/phase_ps{phase=unpack}", 0x4253ede0a11f8000),
+            ("exchange/phase_ps{phase=wait}", 0x4253daf35c2f8000),
+            ("exchange/total_ps", 0x425674e709850000),
+        ],
+    },
+    TierPin {
+        name: "persistent",
+        per_iter: [0x3f83fa89ff679a71, 0x3f83f8f758308963],
+        sums: &[
+            ("exchange/method_ps{method=colocated}", 0x4222e56ae5b80000),
+            ("exchange/method_ps{method=persistent}", 0x424b2d46a1960000),
+            ("exchange/phase_ps{phase=pack}", 0x4220e3cf5c280000),
+            ("exchange/phase_ps{phase=send}", 0x424943c8df900000),
+            ("exchange/phase_ps{phase=unpack}", 0x424b2d46a1960000),
+            ("exchange/phase_ps{phase=wait}", 0x4249410b80740000),
+            ("exchange/total_ps", 0x424b2d46a1960000),
+        ],
+    },
+    TierPin {
+        name: "partitioned",
+        per_iter: [0x3f8169d9ad0e187a, 0x3f81684f44e6fbf9],
+        sums: &[
+            ("exchange/method_ps{method=colocated}", 0x42238021a4780000),
+            ("exchange/method_ps{method=partitioned}", 0x4247b9ac77348000),
+            ("exchange/phase_ps{phase=pack}", 0x4220de83dc280000),
+            ("exchange/phase_ps{phase=send}", 0x4246f1ac503e8000),
+            ("exchange/phase_ps{phase=unpack}", 0x4247b9ac77348000),
+            ("exchange/phase_ps{phase=wait}", 0x4246eecfe43e8000),
+            ("exchange/total_ps", 0x4247b9ac77348000),
+        ],
+    },
+];
+
+/// The pinned quantities of one measured tier: `per_iter` bits and the
+/// `(metric id, histogram sum bits)` pairs, in `TierPin` field order.
+fn observe_tier(name: &str) -> (Vec<u64>, Vec<(String, u64)>) {
+    let r = measure_exchange(&tier_config(name));
+    let per_iter = r.per_iter.iter().map(|v| v.to_bits()).collect();
+    let report = r.metrics.expect("metrics(true) captures a snapshot");
+    let sums = report
+        .entries()
+        .iter()
+        .filter(|(id, _)| {
+            id.subsystem == "exchange" && matches!(id.name, "total_ps" | "method_ps" | "phase_ps")
+        })
+        .map(|(id, v)| match v {
+            MetricValue::Histogram(h) => (id.to_string(), h.sum.to_bits()),
+            other => panic!("{id} is not a histogram: {other:?}"),
+        })
+        .collect();
+    (per_iter, sums)
+}
+
+#[test]
+fn every_transport_tier_matches_golden_bits() {
+    let observed: Vec<_> = TIER_PINS.iter().map(|p| observe_tier(p.name)).collect();
+    for (pin, (per_iter, sums)) in TIER_PINS.iter().zip(&observed) {
+        assert_eq!(
+            per_iter[..],
+            pin.per_iter[..],
+            "tier {}: per-iteration virtual time diverged",
+            pin.name
+        );
+        let want: Vec<(String, u64)> = pin
+            .sums
+            .iter()
+            .map(|(id, b)| (id.to_string(), *b))
+            .collect();
+        assert_eq!(
+            *sums, want,
+            "tier {}: exchange histogram sums diverged",
+            pin.name
+        );
+    }
+    assert_ne!(
+        observed[0], observed[1],
+        "consolidate(true) reproduced the staged-only run: no group was formed"
     );
 }
 
