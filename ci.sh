@@ -22,6 +22,9 @@ cargo test --offline --workspace -q
 echo "==> cargo test --doc"
 cargo test --offline --workspace --doc -q
 
+echo "==> benchmark self-test (perfbench is its own workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
 

@@ -5,9 +5,7 @@
 //!   re-placement cannot fix a transient and the migration itself costs
 //!   downtime;
 //! * **warmup** — no verdict (and no probe traffic) before the baseline
-//!   window count is met;
-//! * the deprecated pre-policy API (`HealthMonitor::new`,
-//!   `adapt_placement`) keeps working for one release.
+//!   window count is met.
 
 use detsim::SimDuration;
 use faultsim::FaultSchedule;
@@ -124,40 +122,4 @@ fn flapping_nic_never_triggers_migration() {
         "resilience/adapt_skipped counter missing from metrics: {json}"
     );
     assert!(json.contains("hysteresis"), "skip labels missing: {json}");
-}
-
-/// The deprecated pre-policy surface still works: `HealthMonitor::new`
-/// behaves like a policy with the same threshold/warmup (hysteresis 1),
-/// and `adapt_placement` re-probes and migrates unconditionally.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_work() {
-    let adapted: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
-    let a2 = Arc::clone(&adapted);
-    let world = WorldConfig::new(summit_cluster(1), 6).data_mode(DataMode::Virtual);
-    run_world(world, move |ctx| {
-        let mut dom = DomainBuilder::new([192, 192, 192])
-            .radius(2)
-            .quantities(2)
-            .build(ctx);
-        let mut monitor = stencil_core::HealthMonitor::new(1.5, 2);
-        for _ in 0..2 {
-            ctx.barrier();
-            dom.exchange(ctx);
-            ctx.barrier();
-            monitor.check(ctx);
-        }
-        let changed = dom.adapt_placement(ctx);
-        // Whatever the verdict, the domain must still exchange cleanly on
-        // its (possibly rebuilt) plans.
-        ctx.barrier();
-        dom.exchange(ctx);
-        if ctx.rank() == 0 {
-            *a2.lock() = Some(changed);
-        }
-    });
-    assert!(
-        adapted.lock().is_some(),
-        "deprecated adapt_placement failed to run"
-    );
 }

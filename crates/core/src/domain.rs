@@ -7,7 +7,7 @@ use mpisim::RankCtx;
 use topo::NodeDiscovery;
 
 use crate::dim3::{Boundary, Dim3, Neighborhood};
-use crate::exchange::{build_plans, GroupedRecvPlan, GroupedSendPlan, RecvPlan, SendPlan};
+use crate::exchange::{build_plans, Plans};
 use crate::local::LocalDomain;
 use crate::method::Methods;
 use crate::partition::Partition;
@@ -162,11 +162,7 @@ pub struct DistributedDomain {
     pub(crate) placements: Vec<Placement>,
     pub(crate) rank: usize,
     pub(crate) locals: Vec<LocalDomain>,
-    pub(crate) send_plans: Vec<SendPlan>,
-    pub(crate) recv_plans: Vec<RecvPlan>,
-    pub(crate) grouped_send_plans: Vec<GroupedSendPlan>,
-    pub(crate) grouped_recv_plans: Vec<GroupedRecvPlan>,
-    pub(crate) summary: PlanSummary,
+    pub(crate) plans: Plans,
 }
 
 impl DistributedDomain {
@@ -297,8 +293,7 @@ impl DistributedDomain {
         }
 
         // Phase 3: capability specialization (collective).
-        let (send_plans, recv_plans, grouped_send_plans, grouped_recv_plans, summary) =
-            build_plans(ctx, &part, &placements, &locals, &spec);
+        let plans = build_plans(ctx, &part, &placements, &locals, &spec);
 
         DistributedDomain {
             spec,
@@ -306,11 +301,7 @@ impl DistributedDomain {
             placements,
             rank: ctx.rank(),
             locals,
-            send_plans,
-            recv_plans,
-            grouped_send_plans,
-            grouped_recv_plans,
-            summary,
+            plans,
         }
     }
 
@@ -336,7 +327,7 @@ impl DistributedDomain {
 
     /// Which methods this rank's plan uses, with counts and bytes.
     pub fn plan_summary(&self) -> &PlanSummary {
-        &self.summary
+        &self.plans.summary
     }
 
     /// The rank this instance belongs to.

@@ -1,25 +1,38 @@
 //! The halo-exchange engine: per-pair communication plans built at setup
-//! (phase 3, §III-C) and the asynchronous execution with Sender/Receiver
-//! state machines (§III-D).
+//! (phase 3, §III-C) and their asynchronous execution (§III-D).
 //!
-//! Pure-CUDA methods (`Kernel`, `PeerMemcpy`, `ColocatedMemcpy` on the
-//! sending side) are enqueued on streams up front and simply complete.
-//! Methods mixing CUDA and MPI (`Staged`, `CudaAwareMpi`, plus the
-//! receiving side of `ColocatedMemcpy`) are driven by small state machines
-//! polled in a loop, so every transfer's phases overlap with everything
-//! else — exactly the paper's Fig. 9 structure.
+//! Pure-CUDA sends (`Kernel`, `PeerMemcpy`, `ColocatedMemcpy`) are enqueued
+//! on streams up front and simply complete. Every other transfer — each
+//! one mixing CUDA and MPI, plus the colocated receive — is the paper's
+//! Sender/Receiver object: one staged `Transfer` driver, polled in a loop
+//! so its phases overlap with everything else (Fig. 9), through stages
+//! whose order is asserted:
+//!
+//! * send: `Staging` (pack, D2H) → `Posted` → `Done`;
+//! * receive: `Posted` → `Landed` → `Unpacking` (H2D, unpack) → `Done`.
+//!
+//! The one real difference between the variants is how the payload crosses
+//! between ranks, the plan's `Post`: an `isend`/`irecv` on the host staging
+//! buffer (staged) or the device buffer (CUDA-aware), a persistent channel
+//! started once staging lands, a partitioned channel started at issue and
+//! landed one partition at a time, or the colocated mailbox. A consolidated
+//! message (paper §VI) is a plan with several `Segment`s; a per-direction
+//! plan is the one-segment case.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use detsim::{Completion, Kernel};
-use gpusim::{Buffer, Stream, Work};
-use mpisim::{Channel, ChannelRound, RankCtx, Request};
+use detsim::{Completion, Kernel, SimDuration, SimTime};
+use gpusim::{Buffer, GpuMachine, Stream, Work};
+use mpisim::{Channel, RankCtx};
 use parking_lot::Mutex;
 
 use crate::dim3::Dim3;
-use crate::domain::DistributedDomain;
+use crate::domain::{DistributedDomain, DomainSpec};
+use crate::local::LocalDomain;
 use crate::method::{select, Method, PairCaps};
+use crate::partition::Partition;
+use crate::placement::Placement;
 use crate::region::{self, Region};
 use crate::stats::PlanSummary;
 
@@ -77,87 +90,81 @@ struct ColoShare {
     mailbox: Mailbox,
 }
 
-/// One outgoing transfer (this rank's subdomain → a neighbor).
+/// How a message crosses between ranks — the only real difference between
+/// the exchange variants. Plans that never leave the rank (`Kernel`,
+/// `PeerMemcpy`) have none.
+pub(crate) enum Post {
+    /// `isend`/`irecv` of the whole message on this buffer: the host
+    /// staging buffer (staged, consolidated) or the device buffer
+    /// (CUDA-aware).
+    Message(Buffer),
+    /// A persistent channel, set up once (`*_init`) and started each
+    /// exchange once staging lands.
+    Persistent(Channel),
+    /// A partitioned channel, started at issue: the sender `pready`s each
+    /// partition as its D2H chunk lands, the receiver copies each one H2D
+    /// as it arrives.
+    Partitioned(Channel),
+    /// The colocated receiver's landed-data mailbox, shared at setup.
+    Mailbox(Mailbox),
+}
+
+/// One direction's halo within a message: where it lives in the subdomain
+/// arrays and where it sits in the packed buffer.
+#[derive(Clone)]
+pub(crate) struct Segment {
+    /// The subdomain's arrays, shared by all its segments.
+    pub arrays: Arc<[Buffer]>,
+    pub dims: Dim3,
+    pub elem: usize,
+    pub region: Region,
+    /// Byte offset of this segment inside the packed message.
+    pub offset: u64,
+    pub bytes: u64,
+    /// The stream planned for this direction. A sender packs on its first
+    /// segment's stream; a receiver lands and unpacks every segment on its
+    /// own (segments may sit on different GPUs of the rank).
+    pub stream: Stream,
+    /// Receive side: the device buffer the segment lands in (none for
+    /// `Kernel`, which exchanges in place).
+    pub dev_buf: Option<Buffer>,
+}
+
+/// One outgoing message from a subdomain of this rank: one direction, or
+/// several directions to one rank when consolidated.
 pub(crate) struct SendPlan {
     pub method: Method,
-    pub stream: Stream,
     pub dst_rank: usize,
     pub tag: u64,
     pub bytes: u64,
-    pub arrays: Vec<Buffer>,
-    pub dims: Dim3,
-    pub elem: usize,
-    pub src_region: Region,
-    /// `Kernel` method: the destination halo region in the *same* array.
-    pub self_dst_region: Region,
+    pub segments: Vec<Segment>,
     pub pack_buf: Option<Buffer>,
     pub host_buf: Option<Buffer>,
     /// `ColocatedMemcpy`: the receiver's buffer, IPC-opened at setup.
     pub remote_buf: Option<Buffer>,
-    /// `ColocatedMemcpy`: landed-data notification channel.
-    pub mailbox: Option<Mailbox>,
-    /// `PeerMemcpy`: index of the matching receive plan in this rank.
-    pub peer_recv: Option<usize>,
-    /// `PersistentStaged`/`PartitionedStaged`: the channel end set up once
-    /// at plan-build time (`*_init`), started every exchange.
-    pub chan: Option<Channel>,
+    /// `Kernel`/`PeerMemcpy`: index of the matching receive plan in this
+    /// rank, which the sender drives.
+    pub local_recv: Option<usize>,
+    pub post: Option<Post>,
 }
 
-/// One segment of a consolidated message: the pack/unpack geometry for one
-/// original direction within the combined buffer.
-pub(crate) struct Segment {
-    pub arrays: Vec<Buffer>,
-    pub dims: Dim3,
-    pub elem: usize,
-    pub region: Region,
-    /// Byte offset of this segment inside the combined message.
-    pub offset: u64,
-    pub bytes: u64,
-    /// Receive side: the per-segment device staging buffer.
-    pub dev_buf: Option<Buffer>,
-    /// Receive side: stream on the segment's destination device.
-    pub stream: Option<Stream>,
-}
-
-/// Several staged transfers from one subdomain to one rank, consolidated
-/// into a single message (paper §VI: "fewer, larger MPI messages tend to
-/// achieve better performance").
-pub(crate) struct GroupedSendPlan {
-    pub stream: Stream,
-    pub dst_rank: usize,
-    pub tag: u64,
-    pub bytes: u64,
-    pub segments: Vec<Segment>,
-    pub pack_buf: Buffer,
-    pub host_buf: Buffer,
-}
-
-/// Receive side of a consolidated message: one `Irecv`, then per-segment
-/// H2D + unpack fan-out (segments may land on different GPUs of this rank).
-pub(crate) struct GroupedRecvPlan {
-    pub src_rank: usize,
-    pub tag: u64,
-    pub bytes: u64,
-    pub segments: Vec<Segment>,
-    pub host_buf: Buffer,
-}
-
-/// One incoming transfer (a neighbor → this rank's subdomain).
+/// One incoming message into subdomains of this rank.
 pub(crate) struct RecvPlan {
     pub method: Method,
-    pub stream: Stream,
     pub src_rank: usize,
     pub tag: u64,
     pub bytes: u64,
-    pub arrays: Vec<Buffer>,
-    pub dims: Dim3,
-    pub elem: usize,
-    pub dst_region: Region,
-    pub recv_dev_buf: Option<Buffer>,
+    pub segments: Vec<Segment>,
     pub host_buf: Option<Buffer>,
-    pub mailbox: Option<Mailbox>,
-    /// `PersistentStaged`/`PartitionedStaged`: the receive channel end.
-    pub chan: Option<Channel>,
+    pub post: Option<Post>,
+}
+
+/// This rank's specialized communication plan.
+#[derive(Default)]
+pub(crate) struct Plans {
+    pub sends: Vec<SendPlan>,
+    pub recvs: Vec<RecvPlan>,
+    pub summary: PlanSummary,
 }
 
 /// How many partitions a `PartitionedStaged` message of `bytes` uses: one
@@ -176,59 +183,39 @@ fn partition_range(bytes: u64, parts: usize, part: usize) -> (u64, u64) {
     (off, chunk.min(bytes - off))
 }
 
-fn make_pack_work(arrays: Vec<Buffer>, dims: Dim3, elem: usize, reg: Region, out: Buffer) -> Work {
+/// Tag slot of a consolidated message: direction slots 0..26 are taken by
+/// the per-direction plans.
+const CONSOLIDATED_SLOT: u64 = 26;
+
+/// Methods that stage through pinned host memory.
+fn host_staged(m: Method) -> bool {
+    matches!(
+        m,
+        Method::Staged | Method::PersistentStaged | Method::PartitionedStaged
+    )
+}
+
+/// Pinned host staging for `device`: on its node, next to its socket.
+fn pinned_host(machine: &GpuMachine, device: usize, bytes: u64) -> Buffer {
+    let socket = machine
+        .fabric()
+        .node_spec()
+        .gpu_socket(machine.local_of(device));
+    machine.alloc_host_untimed(machine.node_of(device), socket, bytes)
+}
+
+/// Pack every segment into `out` at its offset.
+fn make_pack_work(segments: Vec<Segment>, out: Buffer) -> Work {
     Box::new(move || {
         if !out.has_data() {
             return;
         }
-        let mut off = 0usize;
-        for a in &arrays {
-            a.with_data(|src| {
-                out.with_data(|dst| {
-                    off += region::pack(src, dims, elem, reg, dst, off);
-                })
-            });
-        }
-    })
-}
-
-fn make_unpack_work(
-    arrays: Vec<Buffer>,
-    dims: Dim3,
-    elem: usize,
-    reg: Region,
-    inp: Buffer,
-) -> Work {
-    Box::new(move || {
-        if !inp.has_data() {
-            return;
-        }
-        let mut off = 0usize;
-        for a in &arrays {
-            inp.with_data(|src| {
-                a.with_data(|dst| {
-                    off += region::unpack(src, off, dst, dims, elem, reg);
-                })
-            });
-        }
-    })
-}
-
-fn make_group_pack_work(segments: &[Segment], out: Buffer) -> Work {
-    let segs: Vec<(Vec<Buffer>, Dim3, usize, Region, u64)> = segments
-        .iter()
-        .map(|s| (s.arrays.clone(), s.dims, s.elem, s.region, s.offset))
-        .collect();
-    Box::new(move || {
-        if !out.has_data() {
-            return;
-        }
-        for (arrays, dims, elem, reg, base) in &segs {
-            let mut off = *base as usize;
-            for a in arrays {
+        for seg in &segments {
+            let mut off = seg.offset as usize;
+            for a in seg.arrays.iter() {
                 a.with_data(|src| {
                     out.with_data(|dst| {
-                        off += region::pack(src, *dims, *elem, *reg, dst, off);
+                        off += region::pack(src, seg.dims, seg.elem, seg.region, dst, off);
                     })
                 });
             }
@@ -236,21 +223,76 @@ fn make_group_pack_work(segments: &[Segment], out: Buffer) -> Work {
     })
 }
 
-fn make_self_exchange_work(
-    arrays: Vec<Buffer>,
-    dims: Dim3,
-    elem: usize,
-    from: Region,
-    to: Region,
-) -> Work {
+/// Unpack a landed segment from its device buffer into the halo.
+fn make_unpack_work(seg: Segment) -> Work {
     Box::new(move || {
-        for a in &arrays {
+        let inp = seg.dev_buf.as_ref().expect("receive buffer");
+        if !inp.has_data() {
+            return;
+        }
+        let mut off = 0usize;
+        for a in seg.arrays.iter() {
+            inp.with_data(|src| {
+                a.with_data(|dst| {
+                    off += region::unpack(src, off, dst, seg.dims, seg.elem, seg.region);
+                })
+            });
+        }
+    })
+}
+
+fn make_self_exchange_work(seg: Segment, to: Region) -> Work {
+    Box::new(move || {
+        for a in seg.arrays.iter() {
             if !a.has_data() {
                 return;
             }
-            a.with_data(|arr| region::copy_region(arr, dims, elem, from, to));
+            a.with_data(|arr| region::copy_region(arr, seg.dims, seg.elem, seg.region, to));
         }
     })
+}
+
+/// Consolidation (paper §VI): split off every group of more than one plan
+/// sharing a `key` and merge each, in key order, with `merge`. Singletons
+/// rejoin the plans that never group, after them. Returns `(kept,
+/// merged)`.
+fn consolidate<P>(
+    plans: Vec<P>,
+    key: impl Fn(&P) -> Option<(u64, usize)>,
+    tag: impl Fn(&P) -> u64,
+    mut merge: impl FnMut((u64, usize), Vec<P>) -> P,
+) -> (Vec<P>, Vec<P>) {
+    let mut keep = Vec::new();
+    let mut groups: BTreeMap<(u64, usize), Vec<P>> = BTreeMap::new();
+    for p in plans {
+        match key(&p) {
+            Some(k) => groups.entry(k).or_default().push(p),
+            None => keep.push(p),
+        }
+    }
+    let mut merged = Vec::new();
+    for (k, mut members) in groups {
+        if members.len() == 1 {
+            keep.extend(members);
+            continue;
+        }
+        members.sort_by_key(&tag);
+        merged.push(merge(k, members));
+    }
+    (keep, merged)
+}
+
+/// Lay `segments` end to end in one message.
+fn concat_segments(segments: impl IntoIterator<Item = Segment>) -> Vec<Segment> {
+    let mut off = 0;
+    segments
+        .into_iter()
+        .map(|mut s| {
+            s.offset = off;
+            off += s.bytes;
+            s
+        })
+        .collect()
 }
 
 /// Build the specialized communication plan for this rank (setup phase 3).
@@ -258,17 +300,11 @@ fn make_self_exchange_work(
 /// barrier.
 pub(crate) fn build_plans(
     ctx: &RankCtx,
-    dom_part: &crate::partition::Partition,
-    placements: &[crate::placement::Placement],
-    locals: &[crate::local::LocalDomain],
-    spec: &crate::domain::DomainSpec,
-) -> (
-    Vec<SendPlan>,
-    Vec<RecvPlan>,
-    Vec<GroupedSendPlan>,
-    Vec<GroupedRecvPlan>,
-    PlanSummary,
-) {
+    dom_part: &Partition,
+    placements: &[Placement],
+    locals: &[LocalDomain],
+    spec: &DomainSpec,
+) -> Plans {
     let machine = ctx.machine().clone();
     let rpn = ctx.ranks_per_node();
     let gpr = machine.gpus_per_node() / rpn;
@@ -282,6 +318,17 @@ pub(crate) fn build_plans(
     };
     let rank_of_device =
         |d: usize| -> usize { machine.node_of(d) * rpn + machine.local_of(d) / gpr };
+    // Capabilities of a transfer from device `from` to device `to`, whose
+    // remote end is driven by `peer_rank`.
+    let caps = |from: usize, to: usize, peer_rank: usize| PairCaps {
+        same_device: from == to,
+        same_rank: peer_rank == my_rank,
+        same_node: machine.node_of(from) == machine.node_of(to),
+        peer_access: machine.can_access_peer(from, to) || from == to,
+        cuda_aware: ctx.cuda_aware(),
+        persistent: ctx.mpi_persistent(),
+        partitioned: ctx.mpi_partitioned(),
+    };
 
     let dirs = spec.neighborhood.directions();
     let mut sends = Vec::new();
@@ -291,6 +338,17 @@ pub(crate) fn build_plans(
     for local in locals {
         let ext = local.interior.extent;
         let sid = dom_part.subdomain_id(local.node_idx, local.gpu_idx) as u64;
+        let arrays: Arc<[Buffer]> = local.arrays.clone().into();
+        let segment = |region, bytes, stream, dev_buf| Segment {
+            arrays: Arc::clone(&arrays),
+            dims: local.dims,
+            elem: spec.elem_size,
+            region,
+            offset: 0,
+            bytes,
+            stream,
+            dev_buf,
+        };
         for &d in &dirs {
             // ---- outgoing: local sends toward d (None on an open edge) ---
             if let Some((nn, gg)) =
@@ -301,17 +359,7 @@ pub(crate) fn build_plans(
                 let e = spec.radius.halo_extent(ext, d);
                 let bytes = e[0] * e[1] * e[2] * spec.quantities as u64 * spec.elem_size as u64;
                 if bytes > 0 {
-                    let caps = PairCaps {
-                        same_device: dst_dev == local.device,
-                        same_rank: dst_rank == my_rank,
-                        same_node: machine.node_of(dst_dev) == machine.node_of(local.device),
-                        peer_access: machine.can_access_peer(local.device, dst_dev)
-                            || dst_dev == local.device,
-                        cuda_aware: ctx.cuda_aware(),
-                        persistent: ctx.mpi_persistent(),
-                        partitioned: ctx.mpi_partitioned(),
-                    };
-                    let method = select(spec.methods, caps);
+                    let method = select(spec.methods, caps(local.device, dst_dev, dst_rank));
                     if matches!(method, Method::PeerMemcpy | Method::ColocatedMemcpy)
                         && dst_dev != local.device
                     {
@@ -327,38 +375,31 @@ pub(crate) fn build_plans(
                             .alloc_device_untimed(local.device, bytes)
                             .expect("pack buffer")
                     });
-                    let host_buf = matches!(
-                        method,
-                        Method::Staged | Method::PersistentStaged | Method::PartitionedStaged
-                    )
-                    .then(|| {
-                        machine.alloc_host_untimed(
-                            machine.node_of(local.device),
-                            machine
-                                .fabric()
-                                .node_spec()
-                                .gpu_socket(machine.local_of(local.device)),
-                            bytes,
-                        )
-                    });
+                    let host_buf =
+                        host_staged(method).then(|| pinned_host(&machine, local.device, bytes));
+                    // Channels and mailboxes are wired up below.
+                    let post = match method {
+                        Method::Staged => host_buf.clone().map(Post::Message),
+                        Method::CudaAwareMpi => pack_buf.clone().map(Post::Message),
+                        _ => None,
+                    };
                     summary.record(method, bytes);
                     sends.push(SendPlan {
                         method,
-                        stream,
                         dst_rank,
                         tag: sid * 32 + d.index() as u64,
                         bytes,
-                        arrays: local.arrays.clone(),
-                        dims: local.dims,
-                        elem: spec.elem_size,
-                        src_region: region::src_region(ext, &spec.radius, d),
-                        self_dst_region: region::dst_region(ext, &spec.radius, d),
+                        segments: vec![segment(
+                            region::src_region(ext, &spec.radius, d),
+                            bytes,
+                            stream,
+                            None,
+                        )],
                         pack_buf,
                         host_buf,
                         remote_buf: None,
-                        mailbox: None,
-                        peer_recv: None,
-                        chan: None,
+                        local_recv: None,
+                        post,
                     });
                 }
             }
@@ -381,55 +422,32 @@ pub(crate) fn build_plans(
                     rbytes,
                     "sender/receiver disagree on message size"
                 );
-                let caps = PairCaps {
-                    same_device: src_dev == local.device,
-                    same_rank: src_rank == my_rank,
-                    same_node: machine.node_of(src_dev) == machine.node_of(local.device),
-                    peer_access: machine.can_access_peer(src_dev, local.device)
-                        || src_dev == local.device,
-                    cuda_aware: ctx.cuda_aware(),
-                    persistent: ctx.mpi_persistent(),
-                    partitioned: ctx.mpi_partitioned(),
-                };
-                let method = select(spec.methods, caps);
+                let method = select(spec.methods, caps(src_dev, local.device, src_rank));
                 let src_sid = dom_part.subdomain_id(sn, sg) as u64;
                 let stream = ctx
                     .sim()
                     .with_kernel(|k| machine.create_stream(k, local.device));
-                let recv_dev_buf = (method != Method::Kernel).then(|| {
+                let dev_buf = (method != Method::Kernel).then(|| {
                     machine
                         .alloc_device_untimed(local.device, rbytes)
                         .expect("recv buffer")
                 });
-                let host_buf = matches!(
-                    method,
-                    Method::Staged | Method::PersistentStaged | Method::PartitionedStaged
-                )
-                .then(|| {
-                    machine.alloc_host_untimed(
-                        machine.node_of(local.device),
-                        machine
-                            .fabric()
-                            .node_spec()
-                            .gpu_socket(machine.local_of(local.device)),
-                        rbytes,
-                    )
-                });
-                let mailbox = (method == Method::ColocatedMemcpy).then(Mailbox::new);
+                let host_buf =
+                    host_staged(method).then(|| pinned_host(&machine, local.device, rbytes));
+                let post = match method {
+                    Method::Staged => host_buf.clone().map(Post::Message),
+                    Method::CudaAwareMpi => dev_buf.clone().map(Post::Message),
+                    Method::ColocatedMemcpy => Some(Post::Mailbox(Mailbox::new())),
+                    _ => None,
+                };
                 recvs.push(RecvPlan {
                     method,
-                    stream,
                     src_rank,
                     tag: src_sid * 32 + d.index() as u64,
                     bytes: rbytes,
-                    arrays: local.arrays.clone(),
-                    dims: local.dims,
-                    elem: spec.elem_size,
-                    dst_region: dst_reg,
-                    recv_dev_buf,
+                    segments: vec![segment(dst_reg, rbytes, stream, dev_buf)],
                     host_buf,
-                    mailbox,
-                    chan: None,
+                    post,
                 });
             }
         }
@@ -438,15 +456,14 @@ pub(crate) fn build_plans(
     // Colocated IPC handshake: receivers share (handle, mailbox), senders
     // open the handle. One-time, during setup — no MPI during exchanges.
     for rp in &recvs {
-        if rp.method == Method::ColocatedMemcpy {
+        if let Some(Post::Mailbox(mailbox)) = &rp.post {
+            let buf = rp.segments[0].dev_buf.as_ref().expect("receive buffer");
             ctx.send_obj(
                 rp.src_rank,
                 rp.tag,
                 ColoShare {
-                    handle: ctx
-                        .machine()
-                        .ipc_get_handle(rp.recv_dev_buf.as_ref().unwrap()),
-                    mailbox: rp.mailbox.clone().unwrap(),
+                    handle: ctx.machine().ipc_get_handle(buf),
+                    mailbox: mailbox.clone(),
                 },
             );
         }
@@ -455,137 +472,66 @@ pub(crate) fn build_plans(
         if sp.method == Method::ColocatedMemcpy {
             let share: ColoShare = ctx.recv_obj(sp.dst_rank, sp.tag);
             sp.remote_buf = Some(ctx.machine().ipc_open(ctx.sim(), &share.handle));
-            sp.mailbox = Some(share.mailbox);
+            sp.post = Some(Post::Mailbox(share.mailbox));
         }
     }
     // Optional consolidation (paper §VI): merge every set of >1 staged
     // transfers sharing (source subdomain, destination rank) into a single
     // message. Both sides compute the same groups from the same partition
     // and method-selection math, ordered by tag, so offsets agree without
-    // extra handshaking.
-    let mut grouped_sends: Vec<GroupedSendPlan> = Vec::new();
-    let mut grouped_recvs: Vec<GroupedRecvPlan> = Vec::new();
+    // extra handshaking. Merged receives are issued first and merged sends
+    // last.
     if spec.consolidate {
-        use std::collections::BTreeMap;
-        // --- sends: group staged by (src subdomain, dst rank) -------------
-        let mut keep = Vec::new();
-        let mut groups: BTreeMap<(u64, usize), Vec<SendPlan>> = BTreeMap::new();
-        for sp in sends {
-            if sp.method == Method::Staged {
-                groups
-                    .entry((sp.tag / 32, sp.dst_rank))
-                    .or_default()
-                    .push(sp);
-            } else {
-                keep.push(sp);
-            }
-        }
-        for ((sid, dst_rank), mut members) in groups {
-            if members.len() == 1 {
-                keep.push(members.pop().unwrap());
-                continue;
-            }
-            members.sort_by_key(|p| p.tag);
-            // all members originate on one source device
-            let device = machine.stream_device(members[0].stream);
-            let total: u64 = members.iter().map(|p| p.bytes).sum();
-            let pack_buf = machine
-                .alloc_device_untimed(device, total)
-                .expect("consolidated pack buffer");
-            let host_buf = machine.alloc_host_untimed(
-                machine.node_of(device),
-                machine
-                    .fabric()
-                    .node_spec()
-                    .gpu_socket(machine.local_of(device)),
-                total,
-            );
-            let mut off = 0;
-            let segments: Vec<Segment> = members
-                .iter()
-                .map(|p| {
-                    let seg = Segment {
-                        arrays: p.arrays.clone(),
-                        dims: p.dims,
-                        elem: p.elem,
-                        region: p.src_region,
-                        offset: off,
-                        bytes: p.bytes,
-                        dev_buf: None,
-                        stream: None,
-                    };
-                    off += p.bytes;
-                    seg
-                })
-                .collect();
-            grouped_sends.push(GroupedSendPlan {
-                stream: members[0].stream,
-                dst_rank,
-                tag: sid * 32 + 26, // reserved "consolidated" direction slot
-                bytes: total,
-                segments,
-                pack_buf,
-                host_buf,
-            });
-        }
+        let (keep, merged) = consolidate(
+            sends,
+            |p| (p.method == Method::Staged).then_some((p.tag / 32, p.dst_rank)),
+            |p| p.tag,
+            |(sid, dst_rank), members| {
+                // all members originate on one source device
+                let device = machine.stream_device(members[0].segments[0].stream);
+                let bytes = members.iter().map(|p| p.bytes).sum();
+                let pack_buf = machine
+                    .alloc_device_untimed(device, bytes)
+                    .expect("consolidated pack buffer");
+                let host_buf = pinned_host(&machine, device, bytes);
+                SendPlan {
+                    method: Method::Staged,
+                    dst_rank,
+                    tag: sid * 32 + CONSOLIDATED_SLOT,
+                    bytes,
+                    segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
+                    pack_buf: Some(pack_buf),
+                    host_buf: Some(host_buf.clone()),
+                    remote_buf: None,
+                    local_recv: None,
+                    post: Some(Post::Message(host_buf)),
+                }
+            },
+        );
         sends = keep;
-        // --- receives: the mirror grouping by (src subdomain, src rank) ---
-        let mut keep = Vec::new();
-        let mut groups: BTreeMap<(u64, usize), Vec<RecvPlan>> = BTreeMap::new();
-        for rp in recvs {
-            if rp.method == Method::Staged {
-                groups
-                    .entry((rp.tag / 32, rp.src_rank))
-                    .or_default()
-                    .push(rp);
-            } else {
-                keep.push(rp);
-            }
-        }
-        for ((sid, src_rank), mut members) in groups {
-            if members.len() == 1 {
-                keep.push(members.pop().unwrap());
-                continue;
-            }
-            members.sort_by_key(|p| p.tag);
-            let total: u64 = members.iter().map(|p| p.bytes).sum();
-            // the host landing buffer lives on the first segment's socket
-            let dev0 = machine.stream_device(members[0].stream);
-            let host_buf = machine.alloc_host_untimed(
-                machine.node_of(dev0),
-                machine
-                    .fabric()
-                    .node_spec()
-                    .gpu_socket(machine.local_of(dev0)),
-                total,
-            );
-            let mut off = 0;
-            let segments: Vec<Segment> = members
-                .iter()
-                .map(|p| {
-                    let seg = Segment {
-                        arrays: p.arrays.clone(),
-                        dims: p.dims,
-                        elem: p.elem,
-                        region: p.dst_region,
-                        offset: off,
-                        bytes: p.bytes,
-                        dev_buf: p.recv_dev_buf.clone(),
-                        stream: Some(p.stream),
-                    };
-                    off += p.bytes;
-                    seg
-                })
-                .collect();
-            grouped_recvs.push(GroupedRecvPlan {
-                src_rank,
-                tag: sid * 32 + 26,
-                bytes: total,
-                segments,
-                host_buf,
-            });
-        }
-        recvs = keep;
+        sends.extend(merged);
+        let (keep, merged) = consolidate(
+            recvs,
+            |p| (p.method == Method::Staged).then_some((p.tag / 32, p.src_rank)),
+            |p| p.tag,
+            |(sid, src_rank), members| {
+                // the host landing buffer lives on the first segment's socket
+                let device = machine.stream_device(members[0].segments[0].stream);
+                let bytes = members.iter().map(|p| p.bytes).sum();
+                let host_buf = pinned_host(&machine, device, bytes);
+                RecvPlan {
+                    method: Method::Staged,
+                    src_rank,
+                    tag: sid * 32 + CONSOLIDATED_SLOT,
+                    bytes,
+                    segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
+                    host_buf: Some(host_buf.clone()),
+                    post: Some(Post::Message(host_buf)),
+                }
+            },
+        );
+        recvs = merged;
+        recvs.extend(keep);
     }
 
     // Persistent/partitioned channel setup (`*_init`): register both ends
@@ -594,144 +540,262 @@ pub(crate) fn build_plans(
     // The closing barrier below guarantees both ends exist before the
     // first round starts.
     for sp in &mut sends {
-        match sp.method {
+        let (bytes, peer, tag) = (sp.bytes, sp.dst_rank, sp.tag);
+        let host = sp.host_buf.as_ref();
+        sp.post = Some(match sp.method {
             Method::PersistentStaged => {
-                let host = sp.host_buf.as_ref().unwrap();
-                sp.chan = Some(ctx.send_init(host, 0, sp.bytes, sp.dst_rank, sp.tag));
+                Post::Persistent(ctx.send_init(host.expect("host staging"), 0, bytes, peer, tag))
             }
             Method::PartitionedStaged => {
-                let host = sp.host_buf.as_ref().unwrap();
-                let parts = partition_count(sp.bytes);
-                sp.chan = Some(ctx.psend_init(host, 0, sp.bytes, sp.dst_rank, sp.tag, parts));
+                let host = host.expect("host staging");
+                let parts = partition_count(bytes);
+                Post::Partitioned(ctx.psend_init(host, 0, bytes, peer, tag, parts))
             }
-            _ => {}
-        }
+            _ => continue,
+        });
     }
     for rp in &mut recvs {
-        match rp.method {
+        let (bytes, peer, tag) = (rp.bytes, rp.src_rank, rp.tag);
+        let host = rp.host_buf.as_ref();
+        rp.post = Some(match rp.method {
             Method::PersistentStaged => {
-                let host = rp.host_buf.as_ref().unwrap();
-                rp.chan = Some(ctx.recv_init(host, 0, rp.bytes, rp.src_rank, rp.tag));
+                Post::Persistent(ctx.recv_init(host.expect("host staging"), 0, bytes, peer, tag))
             }
             Method::PartitionedStaged => {
-                let host = rp.host_buf.as_ref().unwrap();
-                let parts = partition_count(rp.bytes);
-                rp.chan = Some(ctx.precv_init(host, 0, rp.bytes, rp.src_rank, rp.tag, parts));
+                let host = host.expect("host staging");
+                let parts = partition_count(bytes);
+                Post::Partitioned(ctx.precv_init(host, 0, bytes, peer, tag, parts))
             }
-            _ => {}
-        }
+            _ => continue,
+        });
     }
 
-    // Link each peer send to its same-rank receive plan. This must happen
-    // after consolidation: filtering staged plans out of `recvs` shifts the
-    // indices of the surviving PeerMemcpy plans.
+    // Link each same-rank send to its receive plan. This must happen after
+    // consolidation, which reorders `recvs`.
     for sp in &mut sends {
-        if sp.method == Method::PeerMemcpy {
+        if matches!(sp.method, Method::Kernel | Method::PeerMemcpy) {
             let idx = recvs
                 .iter()
-                .position(|rp| rp.tag == sp.tag && rp.method == Method::PeerMemcpy)
-                .expect("peer send without matching local receive plan");
+                .position(|rp| rp.tag == sp.tag && rp.method == sp.method)
+                .expect("same-rank send without matching local receive plan");
             assert_eq!(
                 recvs[idx].bytes, sp.bytes,
-                "peer send/recv plans disagree on message size"
+                "same-rank send/recv plans disagree on message size"
             );
-            sp.peer_recv = Some(idx);
+            sp.local_recv = Some(idx);
         }
     }
     ctx.barrier();
-    (sends, recvs, grouped_sends, grouped_recvs, summary)
+    Plans {
+        sends,
+        recvs,
+        summary,
+    }
 }
 
-/// A state machine driving one CUDA+MPI transfer through its phases.
-enum Machine {
-    StagedSend {
-        plan: usize,
-        staged_ev: Completion,
-        req: Option<Request>,
-    },
-    StagedRecv {
-        plan: usize,
-        req: Request,
-        unpack_ev: Option<Completion>,
-    },
-    CaSend {
-        plan: usize,
-        pack_ev: Completion,
-        req: Option<Request>,
-    },
-    CaRecv {
-        plan: usize,
-        req: Request,
-        unpack_ev: Option<Completion>,
-    },
-    ColoRecv {
-        plan: usize,
-        arrival: Option<Completion>,
-        unpack_ev: Option<Completion>,
-    },
-    GroupedSend {
-        plan: usize,
-        staged_ev: Completion,
-        req: Option<Request>,
-    },
-    GroupedRecv {
-        plan: usize,
-        req: Request,
-        unpack_all: Option<Completion>,
-    },
-    /// `PersistentStaged` send: pack → D2H as staged, then `start` on the
-    /// channel instead of a fresh `Isend`.
-    PersistentSend {
-        plan: usize,
-        staged_ev: Completion,
-        round: Option<Request>,
-    },
-    /// `PersistentStaged` receive: the round was started up front
-    /// (receivers first); H2D + unpack when it lands.
-    PersistentRecv {
-        plan: usize,
-        round: Request,
-        unpack_ev: Option<Completion>,
-    },
-    /// `PartitionedStaged` send: the packed message stages D2H in
-    /// partition-sized chunks; each chunk's `pready` fires as its copy
-    /// lands, so early partitions fly while later ones still stage.
-    PartitionedSend {
-        plan: usize,
-        d2h_evs: Vec<Completion>,
-        next_ready: usize,
-        round: Request,
-    },
-    /// `PartitionedStaged` receive: partitions H2D individually as they
-    /// arrive (`MPI_Parrived`), one unpack after the last.
-    PartitionedRecv {
-        plan: usize,
-        round: ChannelRound,
-        next_arrived: usize,
-        unpack_ev: Option<Completion>,
-    },
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Side {
+    Send,
+    Recv,
 }
 
-impl Machine {
-    fn method(&self) -> Method {
+impl Side {
+    /// The stages a transfer on this side walks, in order.
+    fn stages(self) -> &'static [Stage] {
         match self {
-            Machine::StagedSend { .. } | Machine::StagedRecv { .. } => Method::Staged,
-            Machine::CaSend { .. } | Machine::CaRecv { .. } => Method::CudaAwareMpi,
-            Machine::ColoRecv { .. } => Method::ColocatedMemcpy,
-            Machine::GroupedSend { .. } | Machine::GroupedRecv { .. } => Method::Staged,
-            Machine::PersistentSend { .. } | Machine::PersistentRecv { .. } => {
-                Method::PersistentStaged
-            }
-            Machine::PartitionedSend { .. } | Machine::PartitionedRecv { .. } => {
-                Method::PartitionedStaged
-            }
+            Side::Send => &[Stage::Staging, Stage::Posted, Stage::Done],
+            Side::Recv => &[Stage::Posted, Stage::Landed, Stage::Unpacking, Stage::Done],
         }
     }
 }
 
-enum Poll {
+/// Where a [`Transfer`] is in its pipeline.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stage {
+    /// Send: pack and D2H issued; waiting for the staged bytes.
+    Staging,
+    /// On the wire: waiting for the send to finish or the data to arrive.
+    Posted,
+    /// Receive: every byte has arrived; the rest of the landing (H2D, or
+    /// a stream wait on the colocated copy) and the unpack are issued
+    /// next.
+    Landed,
+    /// Receive: waiting for the unpack kernels.
+    Unpacking,
     Done,
-    Blocked(Completion),
+}
+
+/// One CUDA+MPI transfer or colocated receive in flight, driven by
+/// [`Transfer::poll`] through its side's stages.
+struct Transfer {
+    side: Side,
+    /// Index into the domain's send or receive plans.
+    plan: usize,
+    method: Method,
+    stage: Stage,
+    /// The completions the current stage waits on, in order; `next` is the
+    /// first not yet seen done. Staging: one D2H event per partition (the
+    /// pack event for CUDA-aware). Posted: the wire operation, one arrival
+    /// per partition, or the mailbox waiters of a colocated receive.
+    /// Landed: the colocated copy the unpack stream waits on. Unpacking:
+    /// the unpack kernels, combined into one completion.
+    gates: Vec<Completion>,
+    next: usize,
+    /// A partitioned send's round: started at issue, waited on once posted.
+    round: Option<Completion>,
+}
+
+impl Transfer {
+    fn new(side: Side, plan: usize, method: Method, gates: Vec<Completion>) -> Transfer {
+        Transfer {
+            side,
+            plan,
+            method,
+            stage: side.stages()[0],
+            gates,
+            next: 0,
+            round: None,
+        }
+    }
+
+    /// Move on to `to`, which must be the next stage of this side, waiting
+    /// on `gate` (every stage after the first waits on at most one).
+    fn advance(&mut self, to: Stage, gate: Option<Completion>) {
+        let stages = self.side.stages();
+        let at = stages.iter().position(|&s| s == self.stage);
+        assert!(
+            at.and_then(|i| stages.get(i + 1)) == Some(&to),
+            "{:?} {} transfer cannot go from {:?} to {:?}",
+            self.side,
+            self.method,
+            self.stage,
+            to
+        );
+        self.stage = to;
+        self.gates.clear();
+        self.gates.extend(gate);
+        self.next = 0;
+    }
+
+    /// Walk the gates in order, calling `ready(i)` once for each gate seen
+    /// done; `Err` carries the first one still pending.
+    fn wait_gates(&mut self, mut ready: impl FnMut(usize)) -> Result<(), Completion> {
+        while let Some(gate) = self.gates.get(self.next) {
+            if !gate.is_done() {
+                return Err(gate.clone());
+            }
+            ready(self.next);
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    /// Drive the transfer as far as it goes without blocking, stamping
+    /// each phase into `timing` at the moment it completes. `Ok` once
+    /// done; `Err` carries the completion it is blocked on.
+    fn poll(
+        &mut self,
+        dom: &DistributedDomain,
+        ctx: &RankCtx,
+        started: SimTime,
+        timing: &mut ExchangeTiming,
+    ) -> Result<(), Completion> {
+        let m = ctx.machine();
+        let sim = ctx.sim();
+        let since_start = || sim.now().since(started);
+        loop {
+            match (self.side, self.stage) {
+                (Side::Send, Stage::Staging) => {
+                    let sp = &dom.plans.sends[self.plan];
+                    self.wait_gates(|p| {
+                        if let Some(Post::Partitioned(chan)) = &sp.post {
+                            ctx.pready(chan, p);
+                        }
+                    })?;
+                    timing.phase("pack", since_start());
+                    let wire = match (&sp.post, self.round.take()) {
+                        (_, Some(round)) => round,
+                        (Some(Post::Message(buf)), None) => ctx
+                            .isend(buf, 0, sp.bytes, sp.dst_rank, sp.tag)
+                            .completion()
+                            .clone(),
+                        (Some(Post::Persistent(chan)), None) => {
+                            ctx.start(chan).all.completion().clone()
+                        }
+                        _ => unreachable!("{} send has nothing to post", self.method),
+                    };
+                    self.advance(Stage::Posted, Some(wire));
+                }
+                (Side::Recv, Stage::Posted) => {
+                    let rp = &dom.plans.recvs[self.plan];
+                    let landed = if let Some(Post::Mailbox(mailbox)) = &rp.post {
+                        // A pending waiter is reused across polls, so at
+                        // most one per transfer is ever outstanding.
+                        loop {
+                            self.wait_gates(|_| {})?;
+                            match sim.with_kernel(|k| mailbox.try_take(k)) {
+                                Ok(copied) => break Some(copied),
+                                Err(waiter) => self.gates.push(waiter),
+                            }
+                        }
+                    } else {
+                        let parts = self.gates.len();
+                        let seg = &rp.segments[0];
+                        self.wait_gates(|p| {
+                            // H2D each partition's bytes as soon as they land.
+                            if let (Some(Post::Partitioned(_)), Some(host)) =
+                                (&rp.post, &rp.host_buf)
+                            {
+                                let (off, len) = partition_range(rp.bytes, parts, p);
+                                let dev = seg.dev_buf.as_ref().expect("receive buffer");
+                                m.memcpy_async(sim, seg.stream, dev, off, host, off, len);
+                            }
+                        })?;
+                        None
+                    };
+                    timing.phase("wait", since_start());
+                    self.advance(Stage::Landed, landed);
+                }
+                (Side::Recv, Stage::Landed) => {
+                    // Per segment: land it on its device, then unpack on its
+                    // stream. Segments on different devices run in parallel.
+                    // Partitioned receives already copied each partition.
+                    let rp = &dom.plans.recvs[self.plan];
+                    let partitioned = matches!(rp.post, Some(Post::Partitioned(_)));
+                    let mut unpacks = rp.segments.iter().map(|seg| {
+                        if let Some(host) = rp.host_buf.as_ref().filter(|_| !partitioned) {
+                            let dev = seg.dev_buf.as_ref().expect("receive buffer");
+                            m.memcpy_async(sim, seg.stream, dev, 0, host, seg.offset, seg.bytes);
+                        }
+                        for copied in &self.gates {
+                            m.stream_wait_event(sim, seg.stream, copied);
+                        }
+                        let unpack = make_unpack_work(seg.clone());
+                        m.launch_kernel(sim, seg.stream, "unpack", seg.bytes, Some(unpack))
+                    });
+                    let unpacked = match rp.segments.len() {
+                        1 => unpacks.next().expect("one segment"),
+                        _ => {
+                            let all: Vec<Completion> = unpacks.collect();
+                            sim.with_kernel(|k| k.completion_all(&all))
+                        }
+                    };
+                    self.advance(Stage::Unpacking, Some(unpacked));
+                }
+                (Side::Send, Stage::Posted) | (Side::Recv, Stage::Unpacking) => {
+                    self.wait_gates(|_| {})?;
+                    let phase = match self.side {
+                        Side::Send => "send",
+                        Side::Recv => "unpack",
+                    };
+                    timing.phase(phase, since_start());
+                    self.advance(Stage::Done, None);
+                }
+                (_, Stage::Done) => return Ok(()),
+                (side, stage) => unreachable!("{side:?} transfer in stage {stage:?}"),
+            }
+        }
+    }
 }
 
 /// An in-flight exchange started by
@@ -739,9 +803,9 @@ enum Poll {
 /// [`DistributedDomain::exchange_finish`]. Compute on subdomain interiors
 /// may proceed (on compute streams) between the two calls.
 pub struct ExchangeHandle {
-    machines: Vec<Machine>,
+    transfers: Vec<Transfer>,
     pending: Vec<(Method, Completion)>,
-    started: detsim::SimTime,
+    started: SimTime,
 }
 
 /// Virtual-time breakdown of one exchange: when the last transfer of each
@@ -750,736 +814,167 @@ pub struct ExchangeHandle {
 #[derive(Clone, Debug, Default)]
 pub struct ExchangeTiming {
     /// Start-to-last-completion of the whole exchange.
-    pub total: detsim::SimDuration,
+    pub total: SimDuration,
     /// Per method: time from exchange start until its last transfer
     /// (including unpack) was observed complete.
-    pub per_method: std::collections::BTreeMap<Method, detsim::SimDuration>,
+    pub per_method: BTreeMap<Method, SimDuration>,
     /// Per phase ("pack", "send", "wait", "unpack"): time from exchange
     /// start until the last transfer finished that phase. Fused methods
     /// (kernel, peer, colocated sends) have no distinct phases and only
     /// appear in `per_method`.
-    pub per_phase: std::collections::BTreeMap<&'static str, detsim::SimDuration>,
+    pub per_phase: BTreeMap<&'static str, SimDuration>,
 }
 
 impl ExchangeTiming {
     /// Max-update the completion time of `phase` relative to the start.
-    fn phase(&mut self, phase: &'static str, d: detsim::SimDuration) {
+    fn phase(&mut self, phase: &'static str, d: SimDuration) {
         let e = self.per_phase.entry(phase).or_default();
         if d > *e {
             *e = d;
+        }
+    }
+
+    /// Max-update the completion time of `method` and of the whole
+    /// exchange.
+    fn finished(&mut self, method: Method, d: SimDuration) {
+        let e = self.per_method.entry(method).or_default();
+        if d > *e {
+            *e = d;
+        }
+        if d > self.total {
+            self.total = d;
         }
     }
 }
 
 impl DistributedDomain {
     /// Issue one full halo exchange asynchronously. Pure-CUDA transfers are
-    /// enqueued; CUDA+MPI transfers are set up as state machines. Returns a
+    /// enqueued; the others start in the staged transfer driver. Returns a
     /// handle to finish with.
     pub fn exchange_start(&self, ctx: &RankCtx) -> ExchangeHandle {
-        let m = ctx.machine().clone();
-        let started = ctx.sim().now();
-        let mut machines = Vec::new();
+        let m = ctx.machine();
+        let sim = ctx.sim();
+        let started = sim.now();
+        let mut transfers = Vec::new();
         let mut pending: Vec<(Method, Completion)> = Vec::new();
 
         // Receivers first: post all MPI receives before anyone sends.
-        for (i, gp) in self.grouped_recv_plans.iter().enumerate() {
-            let req = ctx.irecv(&gp.host_buf, 0, gp.bytes, gp.src_rank, gp.tag);
-            machines.push(Machine::GroupedRecv {
-                plan: i,
-                req,
-                unpack_all: None,
-            });
-        }
-        for (i, rp) in self.recv_plans.iter().enumerate() {
-            match rp.method {
-                Method::Staged => {
-                    let req = ctx.irecv(
-                        rp.host_buf.as_ref().unwrap(),
-                        0,
-                        rp.bytes,
-                        rp.src_rank,
-                        rp.tag,
-                    );
-                    machines.push(Machine::StagedRecv {
-                        plan: i,
-                        req,
-                        unpack_ev: None,
-                    });
+        for (i, rp) in self.plans.recvs.iter().enumerate() {
+            let gates = match &rp.post {
+                // Kernel and peer receives are driven by the sender (same rank).
+                None => continue,
+                Some(Post::Message(buf)) => {
+                    let req = ctx.irecv(buf, 0, rp.bytes, rp.src_rank, rp.tag);
+                    vec![req.completion().clone()]
                 }
-                Method::CudaAwareMpi => {
-                    let req = ctx.irecv(
-                        rp.recv_dev_buf.as_ref().unwrap(),
-                        0,
-                        rp.bytes,
-                        rp.src_rank,
-                        rp.tag,
-                    );
-                    machines.push(Machine::CaRecv {
-                        plan: i,
-                        req,
-                        unpack_ev: None,
-                    });
-                }
-                Method::ColocatedMemcpy => {
-                    machines.push(Machine::ColoRecv {
-                        plan: i,
-                        arrival: None,
-                        unpack_ev: None,
-                    });
-                }
-                Method::PersistentStaged => {
-                    let round = ctx.start(rp.chan.as_ref().unwrap());
-                    machines.push(Machine::PersistentRecv {
-                        plan: i,
-                        round: round.all,
-                        unpack_ev: None,
-                    });
-                }
-                Method::PartitionedStaged => {
-                    let round = ctx.start(rp.chan.as_ref().unwrap());
-                    machines.push(Machine::PartitionedRecv {
-                        plan: i,
-                        round,
-                        next_arrived: 0,
-                        unpack_ev: None,
-                    });
-                }
-                // Kernel and Peer receives are driven by the sender (same rank).
-                Method::Kernel | Method::PeerMemcpy => {}
-            }
+                Some(Post::Persistent(chan)) => vec![ctx.start(chan).all.completion().clone()],
+                Some(Post::Partitioned(chan)) => ctx.start(chan).parts,
+                // The mailbox is polled for the sender's copy.
+                Some(Post::Mailbox(_)) => Vec::new(),
+            };
+            transfers.push(Transfer::new(Side::Recv, i, rp.method, gates));
         }
 
-        for (si, sp) in self.send_plans.iter().enumerate() {
-            match sp.method {
-                Method::Kernel => {
-                    let work = make_self_exchange_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        sp.self_dst_region,
-                    );
-                    let done = m.launch_kernel(
-                        ctx.sim(),
-                        sp.stream,
-                        "self-exchange",
-                        sp.bytes,
-                        Some(work),
-                    );
-                    pending.push((Method::Kernel, done));
-                }
-                Method::PeerMemcpy => {
-                    let rp = &self.recv_plans[sp.peer_recv.expect("linked at setup")];
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let recv_buf = rp.recv_dev_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    m.memcpy_async(ctx.sim(), sp.stream, recv_buf, 0, pack_buf, 0, sp.bytes);
-                    let ev = m.record_event(ctx.sim(), sp.stream);
-                    m.stream_wait_event(ctx.sim(), rp.stream, &ev);
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        recv_buf.clone(),
-                    );
+        for (i, sp) in self.plans.sends.iter().enumerate() {
+            let stream = sp.segments[0].stream;
+            let local_recv = sp.local_recv.map(|r| &self.plans.recvs[r].segments[0]);
+            if sp.method == Method::Kernel {
+                let to = local_recv.expect("linked at setup").region;
+                let work = make_self_exchange_work(sp.segments[0].clone(), to);
+                let done = m.launch_kernel(sim, stream, "self-exchange", sp.bytes, Some(work));
+                pending.push((Method::Kernel, done));
+                continue;
+            }
+            let pack_buf = sp.pack_buf.as_ref().expect("pack buffer");
+            let pack = make_pack_work(sp.segments.clone(), pack_buf.clone());
+            let label = if sp.segments.len() > 1 {
+                "pack-group"
+            } else {
+                "pack"
+            };
+            m.launch_kernel(sim, stream, label, sp.bytes, Some(pack));
+            match (sp.method, &sp.post) {
+                (Method::PeerMemcpy, _) => {
+                    let rseg = local_recv.expect("linked at setup");
+                    let recv_buf = rseg.dev_buf.as_ref().expect("receive buffer");
+                    m.memcpy_async(sim, stream, recv_buf, 0, pack_buf, 0, sp.bytes);
+                    let ev = m.record_event(sim, stream);
+                    m.stream_wait_event(sim, rseg.stream, &ev);
+                    let unpack = make_unpack_work(rseg.clone());
                     let done =
-                        m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, Some(unpack));
+                        m.launch_kernel(sim, rseg.stream, "unpack", rseg.bytes, Some(unpack));
                     pending.push((Method::PeerMemcpy, done));
                 }
-                Method::ColocatedMemcpy => {
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
+                (Method::ColocatedMemcpy, Some(Post::Mailbox(mailbox))) => {
                     let remote = sp.remote_buf.as_ref().expect("IPC handshake done at setup");
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    let copied =
-                        m.memcpy_async(ctx.sim(), sp.stream, remote, 0, pack_buf, 0, sp.bytes);
-                    let mailbox = sp.mailbox.clone().unwrap();
-                    let c2 = copied.clone();
-                    ctx.sim().with_kernel(move |k| {
-                        let c3 = c2.clone();
-                        k.on_complete(&c2.clone(), move |k| mailbox.put(k, c3));
-                    });
+                    let copied = m.memcpy_async(sim, stream, remote, 0, pack_buf, 0, sp.bytes);
+                    let (mailbox, landed) = (mailbox.clone(), copied.clone());
+                    sim.with_kernel(|k| k.on_complete(&copied, move |k| mailbox.put(k, landed)));
                     pending.push((Method::ColocatedMemcpy, copied));
                 }
-                Method::CudaAwareMpi => {
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    let pack_ev = m.record_event(ctx.sim(), sp.stream);
-                    machines.push(Machine::CaSend {
-                        plan: si,
-                        pack_ev,
-                        req: None,
-                    });
-                }
-                Method::Staged => {
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    m.memcpy_async(ctx.sim(), sp.stream, host_buf, 0, pack_buf, 0, sp.bytes);
-                    let staged_ev = m.record_event(ctx.sim(), sp.stream);
-                    machines.push(Machine::StagedSend {
-                        plan: si,
-                        staged_ev,
-                        req: None,
-                    });
-                }
-                Method::PersistentStaged => {
-                    // Same pack → D2H pipeline as staged, but the wire leg is
-                    // a pre-matched channel: the machine calls `start` (cheap,
-                    // no per-iteration match) once staging completes.
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    m.memcpy_async(ctx.sim(), sp.stream, host_buf, 0, pack_buf, 0, sp.bytes);
-                    let staged_ev = m.record_event(ctx.sim(), sp.stream);
-                    machines.push(Machine::PersistentSend {
-                        plan: si,
-                        staged_ev,
-                        round: None,
-                    });
-                }
-                Method::PartitionedStaged => {
-                    // One pack kernel, then partition-sized D2H chunks with an
-                    // event after each: partition p is `pready`d as soon as
-                    // its chunk lands on the host, so early partitions are on
-                    // the wire while later ones still stage.
-                    let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
-                    let chan = sp.chan.as_ref().unwrap();
-                    let parts = chan.parts();
-                    let mut d2h_evs = Vec::with_capacity(parts);
-                    for p in 0..parts {
-                        let (off, len) = partition_range(sp.bytes, parts, p);
-                        m.memcpy_async(ctx.sim(), sp.stream, host_buf, off, pack_buf, off, len);
-                        d2h_evs.push(m.record_event(ctx.sim(), sp.stream));
+                (_, post) => {
+                    // Stage D2H in partition-sized chunks (one chunk unless
+                    // partitioned) with an event after each; CUDA-aware puts
+                    // the packed device buffer on the wire as is.
+                    let gates = match &sp.host_buf {
+                        Some(host) => {
+                            let parts = match post {
+                                Some(Post::Partitioned(chan)) => chan.parts(),
+                                _ => 1,
+                            };
+                            (0..parts)
+                                .map(|p| {
+                                    let (off, len) = partition_range(sp.bytes, parts, p);
+                                    m.memcpy_async(sim, stream, host, off, pack_buf, off, len);
+                                    m.record_event(sim, stream)
+                                })
+                                .collect()
+                        }
+                        None => vec![m.record_event(sim, stream)],
+                    };
+                    let mut t = Transfer::new(Side::Send, i, sp.method, gates);
+                    if let Some(Post::Partitioned(chan)) = post {
+                        t.round = Some(ctx.start(chan).all.completion().clone());
                     }
-                    let round = ctx.start(chan);
-                    machines.push(Machine::PartitionedSend {
-                        plan: si,
-                        d2h_evs,
-                        next_ready: 0,
-                        round: round.all,
-                    });
+                    transfers.push(t);
                 }
             }
         }
-        // Consolidated sends: one combined pack kernel, one D2H, then the
-        // state machine posts the single Isend when staging completes.
-        for (i, gp) in self.grouped_send_plans.iter().enumerate() {
-            let pack = make_group_pack_work(&gp.segments, gp.pack_buf.clone());
-            m.launch_kernel(ctx.sim(), gp.stream, "pack-group", gp.bytes, Some(pack));
-            m.memcpy_async(
-                ctx.sim(),
-                gp.stream,
-                &gp.host_buf,
-                0,
-                &gp.pack_buf,
-                0,
-                gp.bytes,
-            );
-            let staged_ev = m.record_event(ctx.sim(), gp.stream);
-            machines.push(Machine::GroupedSend {
-                plan: i,
-                staged_ev,
-                req: None,
-            });
-        }
         ExchangeHandle {
-            machines,
+            transfers,
             pending,
             started,
         }
     }
 
-    fn poll_machine(
-        &self,
-        ctx: &RankCtx,
-        mach: &mut Machine,
-        started: detsim::SimTime,
-        timing: &mut ExchangeTiming,
-    ) -> Poll {
-        let m = ctx.machine().clone();
-        let since_start = |ctx: &RankCtx| ctx.sim().now().since(started);
-        match mach {
-            Machine::StagedSend {
-                plan,
-                staged_ev,
-                req,
-            } => {
-                let sp = &self.send_plans[*plan];
-                if req.is_none() {
-                    if !staged_ev.is_done() {
-                        return Poll::Blocked(staged_ev.clone());
-                    }
-                    timing.phase("pack", since_start(ctx));
-                    *req = Some(ctx.isend(
-                        sp.host_buf.as_ref().unwrap(),
-                        0,
-                        sp.bytes,
-                        sp.dst_rank,
-                        sp.tag,
-                    ));
-                }
-                let r = req.as_ref().unwrap();
-                if r.is_done() {
-                    timing.phase("send", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(r.completion().clone())
-                }
-            }
-            Machine::StagedRecv {
-                plan,
-                req,
-                unpack_ev,
-            } => {
-                let rp = &self.recv_plans[*plan];
-                if unpack_ev.is_none() {
-                    if !req.is_done() {
-                        return Poll::Blocked(req.completion().clone());
-                    }
-                    timing.phase("wait", since_start(ctx));
-                    let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    m.memcpy_async(
-                        ctx.sim(),
-                        rp.stream,
-                        dev,
-                        0,
-                        rp.host_buf.as_ref().unwrap(),
-                        0,
-                        rp.bytes,
-                    );
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
-                }
-                let ev = unpack_ev.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-            Machine::PersistentSend {
-                plan,
-                staged_ev,
-                round,
-            } => {
-                let sp = &self.send_plans[*plan];
-                if round.is_none() {
-                    if !staged_ev.is_done() {
-                        return Poll::Blocked(staged_ev.clone());
-                    }
-                    timing.phase("pack", since_start(ctx));
-                    *round = Some(ctx.start(sp.chan.as_ref().unwrap()).all);
-                }
-                let r = round.as_ref().unwrap();
-                if r.is_done() {
-                    timing.phase("send", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(r.completion().clone())
-                }
-            }
-            Machine::PersistentRecv {
-                plan,
-                round,
-                unpack_ev,
-            } => {
-                let rp = &self.recv_plans[*plan];
-                if unpack_ev.is_none() {
-                    if !round.is_done() {
-                        return Poll::Blocked(round.completion().clone());
-                    }
-                    timing.phase("wait", since_start(ctx));
-                    let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    m.memcpy_async(
-                        ctx.sim(),
-                        rp.stream,
-                        dev,
-                        0,
-                        rp.host_buf.as_ref().unwrap(),
-                        0,
-                        rp.bytes,
-                    );
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
-                }
-                let ev = unpack_ev.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-            Machine::PartitionedSend {
-                plan,
-                d2h_evs,
-                next_ready,
-                round,
-            } => {
-                let sp = &self.send_plans[*plan];
-                while *next_ready < d2h_evs.len() {
-                    if !d2h_evs[*next_ready].is_done() {
-                        return Poll::Blocked(d2h_evs[*next_ready].clone());
-                    }
-                    ctx.pready(sp.chan.as_ref().unwrap(), *next_ready);
-                    *next_ready += 1;
-                    if *next_ready == d2h_evs.len() {
-                        timing.phase("pack", since_start(ctx));
-                    }
-                }
-                if round.is_done() {
-                    timing.phase("send", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(round.completion().clone())
-                }
-            }
-            Machine::PartitionedRecv {
-                plan,
-                round,
-                next_arrived,
-                unpack_ev,
-            } => {
-                let rp = &self.recv_plans[*plan];
-                if unpack_ev.is_none() {
-                    let parts = round.parts.len();
-                    while *next_arrived < parts {
-                        if !round.parts[*next_arrived].is_done() {
-                            return Poll::Blocked(round.parts[*next_arrived].clone());
-                        }
-                        // H2D just this partition's bytes as soon as they land.
-                        let (off, len) = partition_range(rp.bytes, parts, *next_arrived);
-                        m.memcpy_async(
-                            ctx.sim(),
-                            rp.stream,
-                            rp.recv_dev_buf.as_ref().unwrap(),
-                            off,
-                            rp.host_buf.as_ref().unwrap(),
-                            off,
-                            len,
-                        );
-                        *next_arrived += 1;
-                    }
-                    timing.phase("wait", since_start(ctx));
-                    let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
-                }
-                let ev = unpack_ev.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-            Machine::CaSend { plan, pack_ev, req } => {
-                let sp = &self.send_plans[*plan];
-                if req.is_none() {
-                    if !pack_ev.is_done() {
-                        return Poll::Blocked(pack_ev.clone());
-                    }
-                    timing.phase("pack", since_start(ctx));
-                    *req = Some(ctx.isend(
-                        sp.pack_buf.as_ref().unwrap(),
-                        0,
-                        sp.bytes,
-                        sp.dst_rank,
-                        sp.tag,
-                    ));
-                }
-                let r = req.as_ref().unwrap();
-                if r.is_done() {
-                    timing.phase("send", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(r.completion().clone())
-                }
-            }
-            Machine::CaRecv {
-                plan,
-                req,
-                unpack_ev,
-            } => {
-                let rp = &self.recv_plans[*plan];
-                if unpack_ev.is_none() {
-                    if !req.is_done() {
-                        return Poll::Blocked(req.completion().clone());
-                    }
-                    timing.phase("wait", since_start(ctx));
-                    let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
-                }
-                let ev = unpack_ev.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-            Machine::GroupedSend {
-                plan,
-                staged_ev,
-                req,
-            } => {
-                let gp = &self.grouped_send_plans[*plan];
-                if req.is_none() {
-                    if !staged_ev.is_done() {
-                        return Poll::Blocked(staged_ev.clone());
-                    }
-                    timing.phase("pack", since_start(ctx));
-                    *req = Some(ctx.isend(&gp.host_buf, 0, gp.bytes, gp.dst_rank, gp.tag));
-                }
-                let r = req.as_ref().unwrap();
-                if r.is_done() {
-                    timing.phase("send", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(r.completion().clone())
-                }
-            }
-            Machine::GroupedRecv {
-                plan,
-                req,
-                unpack_all,
-            } => {
-                let gp = &self.grouped_recv_plans[*plan];
-                if unpack_all.is_none() {
-                    if !req.is_done() {
-                        return Poll::Blocked(req.completion().clone());
-                    }
-                    timing.phase("wait", since_start(ctx));
-                    // Fan the combined buffer out: per segment, H2D to its
-                    // device then unpack on its stream. Segments on
-                    // different devices proceed in parallel.
-                    let mut evs = Vec::with_capacity(gp.segments.len());
-                    for seg in &gp.segments {
-                        let stream = seg.stream.expect("recv segment stream");
-                        let dev = seg.dev_buf.as_ref().expect("recv segment buffer");
-                        m.memcpy_async(
-                            ctx.sim(),
-                            stream,
-                            dev,
-                            0,
-                            &gp.host_buf,
-                            seg.offset,
-                            seg.bytes,
-                        );
-                        let unpack = make_unpack_work(
-                            seg.arrays.clone(),
-                            seg.dims,
-                            seg.elem,
-                            seg.region,
-                            dev.clone(),
-                        );
-                        evs.push(m.launch_kernel(
-                            ctx.sim(),
-                            stream,
-                            "unpack",
-                            seg.bytes,
-                            Some(unpack),
-                        ));
-                    }
-                    *unpack_all = Some(ctx.sim().with_kernel(|k| k.completion_all(&evs)));
-                }
-                let ev = unpack_all.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-            Machine::ColoRecv {
-                plan,
-                arrival,
-                unpack_ev,
-            } => {
-                let rp = &self.recv_plans[*plan];
-                if unpack_ev.is_none() {
-                    // Reuse a cached arrival waiter across polls so that at
-                    // most one waiter per machine is ever outstanding.
-                    if let Some(a) = arrival.as_ref() {
-                        if !a.is_done() {
-                            return Poll::Blocked(a.clone());
-                        }
-                        *arrival = None;
-                    }
-                    let mailbox = rp.mailbox.as_ref().unwrap();
-                    let copied = match ctx.sim().with_kernel(|k| mailbox.try_take(k)) {
-                        Ok(c) => c,
-                        Err(waiter) => {
-                            *arrival = Some(waiter.clone());
-                            return Poll::Blocked(waiter);
-                        }
-                    };
-                    timing.phase("wait", since_start(ctx));
-                    m.stream_wait_event(ctx.sim(), rp.stream, &copied);
-                    let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
-                }
-                let ev = unpack_ev.as_ref().unwrap();
-                if ev.is_done() {
-                    timing.phase("unpack", since_start(ctx));
-                    Poll::Done
-                } else {
-                    Poll::Blocked(ev.clone())
-                }
-            }
-        }
-    }
-
-    /// Drive an in-flight exchange to completion: poll every state machine,
+    /// Drive an in-flight exchange to completion: poll every transfer,
     /// blocking on whichever completions are outstanding, until all
     /// transfers (sends *and* receives, including unpacks) have finished.
     /// Returns the observed timing breakdown.
-    pub fn exchange_finish(&self, ctx: &RankCtx, mut handle: ExchangeHandle) -> ExchangeTiming {
-        let mut live: Vec<Machine> = std::mem::take(&mut handle.machines);
-        let mut done = vec![false; live.len()];
+    pub fn exchange_finish(&self, ctx: &RankCtx, handle: ExchangeHandle) -> ExchangeTiming {
+        let ExchangeHandle {
+            mut transfers,
+            mut pending,
+            started,
+        } = handle;
         let mut timing = ExchangeTiming::default();
-        let stamp = |timing: &mut ExchangeTiming, m: Method, now: detsim::SimTime| {
-            let d = now.since(handle.started);
-            let e = timing.per_method.entry(m).or_default();
-            if d > *e {
-                *e = d;
-            }
-            if d > timing.total {
-                timing.total = d;
-            }
-        };
         loop {
             let mut blockers: Vec<Completion> = Vec::new();
-            for (i, mach) in live.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                match self.poll_machine(ctx, mach, handle.started, &mut timing) {
-                    Poll::Done => {
-                        done[i] = true;
-                        stamp(&mut timing, mach.method(), ctx.sim().now());
-                    }
-                    Poll::Blocked(c) => blockers.push(c),
+            for t in transfers.iter_mut().filter(|t| t.stage != Stage::Done) {
+                match t.poll(self, ctx, started, &mut timing) {
+                    Ok(()) => timing.finished(t.method, ctx.sim().now().since(started)),
+                    Err(c) => blockers.push(c),
                 }
             }
-            let now = ctx.sim().now();
-            handle.pending.retain(|(m, c)| {
-                if c.is_done() {
-                    stamp(&mut timing, *m, now);
-                    false
-                } else {
-                    true
+            let d = ctx.sim().now().since(started);
+            pending.retain(|(m, c)| {
+                let done = c.is_done();
+                if done {
+                    timing.finished(*m, d);
                 }
+                !done
             });
-            blockers.extend(handle.pending.iter().map(|(_, c)| c.clone()));
+            blockers.extend(pending.iter().map(|(_, c)| c.clone()));
             if blockers.is_empty() {
                 break;
             }
@@ -1517,32 +1012,51 @@ impl DistributedDomain {
                     d.picos() as f64,
                 );
             }
-            for sp in &self.send_plans {
+            for sp in &self.plans.sends {
                 let name = sp.method.to_string();
                 k.metrics
                     .counter_add("exchange", "method_bytes", &[("method", &name)], sp.bytes);
             }
-            for gp in &self.grouped_send_plans {
-                k.metrics.counter_add(
-                    "exchange",
-                    "method_bytes",
-                    &[("method", "staged")],
-                    gp.bytes,
-                );
-            }
         });
     }
 
-    /// One complete halo exchange: issue, overlap, and drain.
-    pub fn exchange(&self, ctx: &RankCtx) {
-        let h = self.exchange_start(ctx);
-        self.exchange_finish(ctx, h);
-    }
-
-    /// One complete halo exchange, returning the per-method timing
-    /// breakdown.
-    pub fn exchange_timed(&self, ctx: &RankCtx) -> ExchangeTiming {
+    /// One complete halo exchange: issue, overlap, and drain. Returns the
+    /// per-method and per-phase timing breakdown.
+    pub fn exchange(&self, ctx: &RankCtx) -> ExchangeTiming {
         let h = self.exchange_start(ctx);
         self.exchange_finish(ctx, h)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn walk(side: Side) -> Transfer {
+        let mut t = Transfer::new(side, 0, Method::Staged, Vec::new());
+        for &to in &side.stages()[1..] {
+            t.advance(to, None);
+        }
+        t
+    }
+
+    #[test]
+    fn transfers_walk_their_side_in_order() {
+        assert_eq!(walk(Side::Send).stage, Stage::Done);
+        assert_eq!(walk(Side::Recv).stage, Stage::Done);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot go from Posted to Unpacking")]
+    fn a_receive_cannot_skip_landing() {
+        let mut t = Transfer::new(Side::Recv, 0, Method::Staged, Vec::new());
+        t.advance(Stage::Unpacking, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot go from Staging to Landed")]
+    fn a_send_never_lands() {
+        let mut t = Transfer::new(Side::Send, 0, Method::Staged, Vec::new());
+        t.advance(Stage::Landed, None);
     }
 }

@@ -21,8 +21,8 @@
 //!
 //! Exchanges then run fully asynchronously ([`DistributedDomain::exchange`])
 //! with CUDA-only paths enqueued on streams and CUDA+MPI paths driven by
-//! polled sender/receiver state machines, supporting overlap with interior
-//! computation ([`DistributedDomain::exchange_start`] /
+//! one staged sender/receiver driver polled in a loop, supporting overlap
+//! with interior computation ([`DistributedDomain::exchange_start`] /
 //! [`DistributedDomain::exchange_finish`]).
 //!
 //! ```no_run

@@ -10,8 +10,6 @@
 //!   [`EXHAUSTIVE_MAX_N`];
 //! * [`solve_greedy_2opt`] — greedy construction + **delta-cost** 2-opt
 //!   (O(n) per candidate swap instead of an O(n²) full recompute);
-//! * [`solve_multistart`] — the same local search from several
-//!   deterministic starting permutations;
 //! * [`crate::multilevel::solve_multilevel`] — hierarchical coarsening
 //!   for instances far beyond 2-opt's reach.
 //!
@@ -227,31 +225,6 @@ pub fn solve_greedy_2opt(w: &[Vec<f64>], d: &[Vec<f64>]) -> (Vec<usize>, f64) {
     better((g, cg), (id, ci))
 }
 
-/// Deterministic multi-start local search: the greedy and identity starts
-/// of [`solve_greedy_2opt`] plus `extra_starts` LCG-shuffled permutations
-/// (fixed seeds, so repeated calls are bit-identical), each refined with
-/// delta-cost 2-opt; the best local optimum wins, ties broken
-/// lexicographically.
-pub fn solve_multistart(w: &[Vec<f64>], d: &[Vec<f64>], extra_starts: usize) -> (Vec<usize>, f64) {
-    let n = w.len();
-    let mut best = solve_greedy_2opt(w, d);
-    let mut state = 0x9E3779B97F4A7C15u64;
-    for _ in 0..extra_starts {
-        let mut f: Vec<usize> = (0..n).collect();
-        // Fisher–Yates with a fixed-seed LCG: deterministic shuffles.
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = ((state >> 33) as usize) % (i + 1);
-            f.swap(i, j);
-        }
-        let c = refine_2opt(w, d, &mut f);
-        best = better(best, (f, c));
-    }
-    best
-}
-
 /// Solve, picking the ladder rung by instance size: exhaustive up to
 /// [`EXHAUSTIVE_MAX_N`], hierarchical multilevel (with a greedy-2-opt
 /// cross-check on moderate sizes) beyond.
@@ -461,27 +434,6 @@ mod tests {
                 s.sort_unstable();
                 assert_eq!(s, (0..n).collect::<Vec<_>>(), "n={n} seed={seed}");
             }
-        }
-    }
-
-    /// Multi-start never loses to the single greedy start, and is
-    /// deterministic.
-    #[test]
-    fn multistart_dominates_greedy_and_is_deterministic() {
-        for seed in 0u64..8 {
-            let n = 14;
-            let mut rnd = lcg(seed.wrapping_mul(77).wrapping_add(3));
-            let w: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| rnd()).collect()).collect();
-            let d: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| rnd()).collect()).collect();
-            let (_, cg) = solve_greedy_2opt(&w, &d);
-            let (fa, ca) = solve_multistart(&w, &d, 4);
-            let (fb, cb) = solve_multistart(&w, &d, 4);
-            assert!(
-                ca <= cg + 1e-9,
-                "seed {seed}: multistart {ca} vs greedy {cg}"
-            );
-            assert_eq!(fa, fb, "seed {seed}: multistart must be deterministic");
-            assert_eq!(ca.to_bits(), cb.to_bits());
         }
     }
 }

@@ -320,21 +320,6 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor flagging windows whose mean exchange time exceeds
-    /// `threshold` × the baseline (e.g. `1.5` = 50% slower). The baseline
-    /// is the mean of the first `warmup_windows` non-empty windows.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AdaptPolicy::new().threshold(..).warmup_windows(..).monitor()"
-    )]
-    pub fn new(threshold: f64, warmup_windows: usize) -> HealthMonitor {
-        HealthMonitor::from_policy(
-            AdaptPolicy::new()
-                .threshold(threshold)
-                .warmup_windows(warmup_windows),
-        )
-    }
-
     pub(crate) fn from_policy(policy: AdaptPolicy) -> HealthMonitor {
         HealthMonitor {
             policy,
@@ -678,26 +663,6 @@ impl DistributedDomain {
             }
         });
         AdaptOutcome::Skipped { reason }
-    }
-
-    /// Adaptive re-placement (collective): unconditionally re-probe,
-    /// re-solve, and migrate. Returns `true` if the placement changed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use DistributedDomain::adapt with an AdaptPolicy-built HealthMonitor"
-    )]
-    pub fn adapt_placement(&mut self, ctx: &RankCtx) -> bool {
-        let resolved = self.probe_and_resolve_global(ctx);
-        if resolved
-            .placements
-            .iter()
-            .zip(&self.placements)
-            .all(|(a, b)| a.gpu_for_subdomain == b.gpu_for_subdomain)
-        {
-            return false;
-        }
-        self.migrate_and_rebuild(ctx, resolved.placements, MigrationMode::Overlapped);
-        true
     }
 
     /// Probe every node, all-gather the measured matrices, re-solve every
@@ -1049,39 +1014,20 @@ impl DistributedDomain {
             // Fence out: nobody computes until the whole world migrated.
             ctx.barrier();
         }
-        let (send_plans, recv_plans, grouped_send_plans, grouped_recv_plans, summary) =
-            build_plans(ctx, &self.part, &self.placements, &self.locals, &self.spec);
-        self.send_plans = send_plans;
-        self.recv_plans = recv_plans;
-        self.grouped_send_plans = grouped_send_plans;
-        self.grouped_recv_plans = grouped_recv_plans;
-        self.summary = summary;
+        self.plans = build_plans(ctx, &self.part, &self.placements, &self.locals, &self.spec);
     }
 
     /// Release the plans' device staging (before a rebuild allocates the
-    /// new ones) and clear the plan vectors. `remote_buf` is the colocated
+    /// new ones) and clear the plans. `remote_buf` is the colocated
     /// *receiver's* buffer, IPC-opened at setup — the receiver frees it as
-    /// its own `recv_dev_buf`; freeing it here too would double-free.
+    /// its own segment buffer; freeing it here too would double-free.
     fn free_plan_device_buffers(&mut self, machine: &gpusim::GpuMachine) {
-        for sp in std::mem::take(&mut self.send_plans) {
-            if let Some(b) = &sp.pack_buf {
-                machine.free_device(b);
-            }
-        }
-        for rp in std::mem::take(&mut self.recv_plans) {
-            if let Some(b) = &rp.recv_dev_buf {
-                machine.free_device(b);
-            }
-        }
-        for gp in std::mem::take(&mut self.grouped_send_plans) {
-            machine.free_device(&gp.pack_buf);
-        }
-        for gp in std::mem::take(&mut self.grouped_recv_plans) {
-            for seg in &gp.segments {
-                if let Some(b) = &seg.dev_buf {
-                    machine.free_device(b);
-                }
-            }
+        let sends = std::mem::take(&mut self.plans.sends);
+        let recvs = std::mem::take(&mut self.plans.recvs);
+        let pack_bufs = sends.iter().filter_map(|sp| sp.pack_buf.as_ref());
+        let recv_bufs = recvs.iter().flat_map(|rp| &rp.segments);
+        for b in pack_bufs.chain(recv_bufs.filter_map(|seg| seg.dev_buf.as_ref())) {
+            machine.free_device(b);
         }
     }
 
@@ -1140,12 +1086,6 @@ impl DistributedDomain {
                     .push(local.unwrap_or_else(|e| panic!("reallocating after respawn: {e}")));
             }
         }
-        let (send_plans, recv_plans, grouped_send_plans, grouped_recv_plans, summary) =
-            build_plans(ctx, &self.part, &self.placements, &self.locals, &self.spec);
-        self.send_plans = send_plans;
-        self.recv_plans = recv_plans;
-        self.grouped_send_plans = grouped_send_plans;
-        self.grouped_recv_plans = grouped_recv_plans;
-        self.summary = summary;
+        self.plans = build_plans(ctx, &self.part, &self.placements, &self.locals, &self.spec);
     }
 }

@@ -1,5 +1,5 @@
 //! Pins the determinism contract of `resolve_node_placements`: the
-//! parallel per-node QAP re-solve used by `adapt_placement` must produce
+//! parallel per-node QAP re-solve used by `adapt` must produce
 //! **bit-identical** placements to the serial path, for any thread count,
 //! on both the exhaustive (6-GPU) and heuristic (12-GPU fat node) ladder
 //! rungs. If this breaks, committed virtual times after an adaptation

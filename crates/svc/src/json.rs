@@ -81,12 +81,20 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so unbounded nesting would overflow the stack — and
+/// abort the process every tenant's jobs share — instead of rejecting one
+/// spec. Documents the service writes nest only a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Returns `Err` with a short position-
-/// annotated message on malformed input or trailing garbage.
+/// annotated message on malformed input, nesting deeper than
+/// [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -100,6 +108,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -128,8 +138,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -137,6 +147,20 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse a container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -333,6 +357,10 @@ mod tests {
         assert!(parse("{} garbage").is_err());
         assert!(parse("1e999").is_err(), "inf rejected");
         assert!(parse(r#"{"a" 1}"#).is_err());
+        assert!(
+            parse(&"[".repeat(200_000)).is_err(),
+            "rejected, not a stack overflow"
+        );
     }
 
     #[test]

@@ -650,7 +650,11 @@ impl JobSpec {
             return Err("domain extents must be positive".into());
         }
         let subdomains = (self.cluster.nodes() * gpn) as u64;
-        if self.domain.iter().product::<u64>() < subdomains {
+        // Checked: a wrapped product would admit an unbuildable domain.
+        let Some(cells) = self.domain.iter().try_fold(1u64, |n, &e| n.checked_mul(e)) else {
+            return Err(format!("domain {:?} has more than 2^64 cells", self.domain));
+        };
+        if cells < subdomains {
             return Err(format!(
                 "domain {:?} too small for {subdomains} GPU subdomains",
                 self.domain
@@ -1003,6 +1007,9 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = sample();
         bad.timeout_ms = Some(0);
+        assert!(bad.validate().is_err());
+        let mut bad = sample();
+        bad.domain = [u64::MAX, 3, 1]; // the cell count overflows u64
         assert!(bad.validate().is_err());
     }
 

@@ -1,7 +1,7 @@
 //! End-to-end application test: distributed Jacobi relaxation must be
 //! bit-identical to a serial reference across node/rank/method layouts —
 //! this exercises every layer (partition, placement, specialization,
-//! exchange state machines, simulated CUDA + MPI data planes) at once.
+//! exchange driver, simulated CUDA + MPI data planes) at once.
 
 use std::sync::Arc;
 

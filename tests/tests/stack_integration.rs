@@ -224,7 +224,7 @@ fn exchange_timing_breakdown_is_consistent() {
     run_world(WorldConfig::new(summit_cluster(2), 6), move |ctx| {
         let dom = DomainBuilder::new([64, 64, 64]).radius(1).build(ctx);
         ctx.barrier();
-        let t = dom.exchange_timed(ctx);
+        let t = dom.exchange(ctx);
         if ctx.rank() == 0 {
             *o2.lock() = Some(t);
         }
