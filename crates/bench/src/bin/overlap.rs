@@ -22,11 +22,11 @@
 //!   transport and schedule.
 //! * `--max-nodes N` cap the sweep (default 64).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_bench::weak_scaling_extent;
 use stencil_core::{DomainBuilder, Methods, Neighborhood};
 use topo::summit::summit_cluster;
@@ -83,8 +83,8 @@ fn run_cell(nodes: usize, transport: Transport, overlapped: bool) -> Row {
         .data_mode(DataMode::Virtual)
         .mpi_persistent(transport == Transport::Persistent)
         .mpi_partitioned(transport == Transport::Partitioned);
-    let out: Arc<Mutex<(f64, String)>> = Arc::new(Mutex::new((0.0, String::new())));
-    let o = Arc::clone(&out);
+    let out: Rc<RefCell<(f64, String)>> = Rc::new(RefCell::new((0.0, String::new())));
+    let o = Rc::clone(&out);
     let rep = run_world(cfg, move |ctx| {
         let dom = DomainBuilder::new([extent; 3])
             .radius(2)
@@ -111,12 +111,12 @@ fn run_cell(nodes: usize, transport: Transport, overlapped: bool) -> Row {
             ctx.barrier();
         }
         if ctx.rank() == 0 {
-            let mut g = o.lock();
+            let mut g = o.borrow_mut();
             g.0 = (ctx.wtime() - t0) / STEPS as f64;
             g.1 = dom.plan_summary().to_string();
         }
     });
-    let (per_iter_s, plan) = out.lock().clone();
+    let (per_iter_s, plan) = out.borrow().clone();
     Row {
         nodes,
         transport: transport.label(),

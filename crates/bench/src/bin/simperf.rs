@@ -1,9 +1,10 @@
-//! simperf — wall-clock performance suite for the **simulator itself**.
+//! simperf — wall-clock micro-benchmarks of the simulator's core layers.
 //!
 //! Every other bench in this crate measures *virtual* time (what the paper
-//! reports). This one measures how long the simulator takes in real time to
-//! produce those virtual results, and is the repo's perf trajectory record:
-//! run it before and after a kernel change and compare.
+//! reports). This one times the scheduler, event and flow paths in
+//! isolation; end-to-end wall clock is perfbench's job (`BENCHMARK.json`).
+//! Numbers compare only against a run on the same host: run the parent and
+//! the change back to back and compare.
 //!
 //! Groups:
 //! * `sched/*` — cooperative-scheduler churn: coroutine world spawn +
@@ -12,28 +13,22 @@
 //! * `event/*` — raw event-queue throughput (schedule + drain).
 //! * `flow/*`  — flow-network churn: a single contended link (worst-case
 //!   reshare fan-out) and a fabric-shaped link set at paper scales.
-//! * `fig12b/*` — end-to-end: one fully-specialized weak-scaling exchange
-//!   step, the shape behind the paper's Fig. 12b.
 //!
 //! Flags:
 //! * `--quick`           tiny shapes, one sample each (CI smoke).
 //! * `--json PATH`       write results as JSON.
-//! * `--baseline PATH`   merge `min_s` numbers from an earlier `--json`
-//!   artifact into the output as `baseline_min_s` + `speedup`.
 //! * `--validate PATH`   parse a previously written JSON artifact and exit
 //!   non-zero if it is malformed (used by `ci.sh bench-smoke`).
 //!
-//! `BENCH_pr2.json` and `BENCH_pr6.json` at the repo root were produced by
-//! running this suite with `--baseline` pointed at a seed-kernel artifact,
-//! so their `baseline_min_s`/`speedup` columns compare against the
-//! original pre-optimization simulator. See `docs/PERFORMANCE.md`.
+//! `BENCH_pr2.json`, `BENCH_pr6.json` and `BENCH_pr9_simperf.json` at the
+//! repo root are history from older versions of this suite; they carry no
+//! host stamp. See `docs/PERFORMANCE.md`.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use detsim::{Kernel, Sim, SimDuration};
-use parking_lot::Mutex;
 use stencil_bench::microbench::{Bench, Summary};
-use stencil_bench::{measure_exchange, weak_scaling_extent, ExchangeConfig};
 
 /// Deterministic 64-bit LCG (same constants as `flow_properties` tests).
 struct Lcg(u64);
@@ -72,15 +67,15 @@ fn sched_spawn(threads: usize) {
 /// Schedule `n` closure events (in scheduling order) and drain the queue.
 fn event_churn(n: usize) {
     let mut k = Kernel::new();
-    let hits = Arc::new(Mutex::new(0u64));
+    let hits = Rc::new(Cell::new(0u64));
     for i in 0..n {
-        let hits = Arc::clone(&hits);
+        let hits = Rc::clone(&hits);
         k.schedule_in(SimDuration::from_nanos((i % 977) as u64), move |_| {
-            *hits.lock() += 1;
+            hits.set(hits.get() + 1);
         });
     }
     k.run_to_completion();
-    assert_eq!(*hits.lock(), n as u64);
+    assert_eq!(hits.get(), n as u64);
 }
 
 /// Worst-case reshare fan-out: every flow shares one link, so each
@@ -130,18 +125,9 @@ fn flow_fabric(nodes: usize) {
     assert_eq!(k.active_flows(), 0);
 }
 
-/// One fully-specialized fig12b weak-scaling step at `nodes` nodes.
-fn fig12b_step(nodes: usize) {
-    let extent = weak_scaling_extent(750, nodes * 6);
-    let cfg = ExchangeConfig::new(nodes, 6, extent).iters(1);
-    let r = measure_exchange(&cfg);
-    assert!(r.mean > 0.0);
-}
-
 struct Args {
     quick: bool,
     json: Option<String>,
-    baseline: Option<String>,
     validate: Option<String>,
 }
 
@@ -149,7 +135,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
         json: None,
-        baseline: None,
         validate: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -169,17 +154,13 @@ fn parse_args() -> Args {
                 args.json = Some(operand(i));
                 i += 2;
             }
-            "--baseline" => {
-                args.baseline = Some(operand(i));
-                i += 2;
-            }
             "--validate" => {
                 args.validate = Some(operand(i));
                 i += 2;
             }
-            other => panic!(
-                "unknown flag {other} (expected --quick / --json PATH / --baseline PATH / --validate PATH)"
-            ),
+            other => {
+                panic!("unknown flag {other} (expected --quick / --json PATH / --validate PATH)")
+            }
         }
     }
     args
@@ -218,7 +199,7 @@ fn parse_artifact(text: &str) -> Option<Vec<(String, f64)>> {
     }
 }
 
-fn write_json(path: &str, quick: bool, results: &[Summary], baseline: &[(String, f64)]) {
+fn write_json(path: &str, quick: bool, results: &[Summary]) {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"suite\": \"simperf\",\n");
@@ -227,17 +208,9 @@ fn write_json(path: &str, quick: bool, results: &[Summary], baseline: &[(String,
     s.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let mut entry = format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"mean_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}",
+            "    {{\"name\": \"{}\", \"samples\": {}, \"mean_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}}}",
             r.name, r.samples, r.mean_s, r.min_s, r.max_s
         );
-        if let Some((_, base)) = baseline.iter().find(|(n, _)| *n == r.name) {
-            entry.push_str(&format!(
-                ", \"baseline_min_s\": {:.6}, \"speedup\": {:.2}",
-                base,
-                base / r.min_s.max(1e-12)
-            ));
-        }
-        entry.push('}');
         if i + 1 < results.len() {
             entry.push(',');
         }
@@ -264,13 +237,6 @@ fn main() {
             }
         }
     }
-    let baseline: Vec<(String, f64)> = match &args.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            parse_artifact(&text).unwrap_or_else(|| panic!("{path}: not a simperf artifact"))
-        }
-        None => Vec::new(),
-    };
     let quick = args.quick;
     let mut results: Vec<Summary> = Vec::new();
 
@@ -310,34 +276,7 @@ fn main() {
         results.push(b.run_summary("fabric/256n", || flow_fabric(256)));
     }
 
-    let mut b = Bench::new("fig12b");
-    b.warmup(false);
-    if quick {
-        b.sample_size(1);
-        results.push(b.run_summary("step/2n", || fig12b_step(2)));
-    } else {
-        b.sample_size(2);
-        results.push(b.run_summary("step/16n", || fig12b_step(16)));
-        results.push(b.run_summary("step/64n", || fig12b_step(64)));
-        b.sample_size(1);
-        results.push(b.run_summary("step/256n", || fig12b_step(256)));
-    }
-
-    if !baseline.is_empty() {
-        println!("\nvs baseline:");
-        for r in &results {
-            if let Some((_, base)) = baseline.iter().find(|(n, _)| *n == r.name) {
-                println!(
-                    "  {:<24} {:>10.3}s -> {:>10.3}s   {:5.2}x",
-                    r.name,
-                    base,
-                    r.min_s,
-                    base / r.min_s.max(1e-12)
-                );
-            }
-        }
-    }
     if let Some(path) = &args.json {
-        write_json(path, quick, &results, &baseline);
+        write_json(path, quick, &results);
     }
 }

@@ -10,13 +10,14 @@
 //! rebuild from scratch against the degraded substrate (the recovery
 //! target) — and reports steady-state exchange times for each.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use detsim::{MetricsReport, SimDuration};
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::dim3::Boundary;
 use stencil_core::placement::flow_matrix_bc;
 use stencil_core::{
@@ -220,15 +221,15 @@ pub fn degraded_island_run(
     let fault = FaultSchedule::degraded_triad(0, a, b, SimDuration::ZERO, bandwidth_factor);
 
     let num_ranks = ranks_per_node;
-    let healthy_times: Arc<Mutex<Vec<Vec<f64>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); num_ranks]));
-    let degraded_times: Arc<Mutex<Vec<Vec<f64>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); num_ranks]));
-    let adapted_flag = Arc::new(Mutex::new(false));
+    let healthy_times: Rc<RefCell<Vec<Vec<f64>>>> =
+        Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
+    let degraded_times: Rc<RefCell<Vec<Vec<f64>>>> =
+        Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
+    let adapted_flag = Rc::new(Cell::new(false));
     let (ht, dt, af) = (
-        Arc::clone(&healthy_times),
-        Arc::clone(&degraded_times),
-        Arc::clone(&adapted_flag),
+        Rc::clone(&healthy_times),
+        Rc::clone(&degraded_times),
+        Rc::clone(&adapted_flag),
     );
 
     let mut world = WorldConfig::new(cluster, ranks_per_node)
@@ -273,7 +274,7 @@ pub fn degraded_island_run(
             ctx.barrier();
             monitor.check(ctx);
         }
-        ht.lock()[ctx.rank()] = mine;
+        ht.borrow_mut()[ctx.rank()] = mine;
 
         if mode != TriadMode::FreshOptimal {
             // Inject mid-run: one rank schedules the degradation at the
@@ -296,7 +297,7 @@ pub fn degraded_island_run(
                 ctx.barrier();
                 if mode == TriadMode::Adapt {
                     if let AdaptOutcome::Migrated { .. } = dom.adapt(ctx, &mut monitor) {
-                        *af.lock() = true;
+                        af.set(true);
                     }
                 } else {
                     monitor.check(ctx);
@@ -311,7 +312,7 @@ pub fn degraded_island_run(
             dom.exchange(ctx);
             mine.push(ctx.wtime() - t0);
         }
-        dt.lock()[ctx.rank()] = mine;
+        dt.borrow_mut()[ctx.rank()] = mine;
     });
 
     let mean_of = |per_rank: &[Vec<f64>], iters: usize| {
@@ -320,9 +321,9 @@ pub fn degraded_island_run(
             .collect();
         per_iter.iter().sum::<f64>() / per_iter.len().max(1) as f64
     };
-    let healthy_mean = mean_of(&healthy_times.lock(), warmup_iters);
-    let degraded_mean = mean_of(&degraded_times.lock(), measure_iters);
-    let adapted = *adapted_flag.lock();
+    let healthy_mean = mean_of(&healthy_times.borrow(), warmup_iters);
+    let degraded_mean = mean_of(&degraded_times.borrow(), measure_iters);
+    let adapted = adapted_flag.get();
     TriadRun {
         healthy_mean,
         degraded_mean,
@@ -429,18 +430,19 @@ pub fn kill_recovery_run(
 
     let radius = cfg.radius;
     let quantities = cfg.quantities;
-    let healthy_times: Arc<Mutex<Vec<Vec<f64>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); num_ranks]));
-    let steady_times: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(vec![Vec::new(); num_ranks]));
-    let recovery_secs = Arc::new(Mutex::new(vec![0.0f64; num_ranks]));
-    let migrate_secs = Arc::new(Mutex::new(vec![0.0f64; num_ranks]));
-    let adapted_node: Arc<Mutex<Option<Option<usize>>>> = Arc::new(Mutex::new(None));
+    let healthy_times: Rc<RefCell<Vec<Vec<f64>>>> =
+        Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
+    let steady_times: Rc<RefCell<Vec<Vec<f64>>>> =
+        Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
+    let recovery_secs = Rc::new(RefCell::new(vec![0.0f64; num_ranks]));
+    let migrate_secs = Rc::new(RefCell::new(vec![0.0f64; num_ranks]));
+    let adapted_node: Rc<Cell<Option<Option<usize>>>> = Rc::new(Cell::new(None));
     let (ht, st, rs, ms, an) = (
-        Arc::clone(&healthy_times),
-        Arc::clone(&steady_times),
-        Arc::clone(&recovery_secs),
-        Arc::clone(&migrate_secs),
-        Arc::clone(&adapted_node),
+        Rc::clone(&healthy_times),
+        Rc::clone(&steady_times),
+        Rc::clone(&recovery_secs),
+        Rc::clone(&migrate_secs),
+        Rc::clone(&adapted_node),
     );
 
     let mut world = WorldConfig::new(cluster, ranks_per_node)
@@ -482,7 +484,7 @@ pub fn kill_recovery_run(
             ctx.barrier();
             monitor.check(ctx);
         }
-        ht.lock()[me] = mine;
+        ht.borrow_mut()[me] = mine;
 
         if mode != RecoveryMode::FreshOptimal {
             // Install the correlated fault mid-run: kill + link + switch
@@ -530,12 +532,12 @@ pub fn kill_recovery_run(
                     let t0 = ctx.wtime();
                     if let AdaptOutcome::Migrated { node, .. } = dom.adapt(ctx, &mut monitor) {
                         my_migrate = ctx.wtime() - t0;
-                        *an.lock() = Some(node);
+                        an.set(Some(node));
                     }
                 }
             }
-            rs.lock()[me] = ctx.wtime() - t_fault;
-            ms.lock()[me] = my_migrate;
+            rs.borrow_mut()[me] = ctx.wtime() - t_fault;
+            ms.borrow_mut()[me] = my_migrate;
         }
 
         let mut mine = Vec::with_capacity(measure_iters);
@@ -545,7 +547,7 @@ pub fn kill_recovery_run(
             dom.exchange(ctx);
             mine.push(ctx.wtime() - t0);
         }
-        st.lock()[me] = mine;
+        st.borrow_mut()[me] = mine;
     });
 
     let mean_of = |per_rank: &[Vec<f64>], iters: usize| {
@@ -555,11 +557,11 @@ pub fn kill_recovery_run(
         per_iter.iter().sum::<f64>() / per_iter.len().max(1) as f64
     };
     let max_of = |v: &[f64]| v.iter().fold(0.0f64, |m, &x| m.max(x));
-    let node = *adapted_node.lock();
-    let healthy_mean = mean_of(&healthy_times.lock(), warmup_iters);
-    let steady_mean = mean_of(&steady_times.lock(), measure_iters);
-    let recovery_secs = max_of(&recovery_secs.lock());
-    let migrate_secs = max_of(&migrate_secs.lock());
+    let node = adapted_node.get();
+    let healthy_mean = mean_of(&healthy_times.borrow(), warmup_iters);
+    let steady_mean = mean_of(&steady_times.borrow(), measure_iters);
+    let recovery_secs = max_of(&recovery_secs.borrow());
+    let migrate_secs = max_of(&migrate_secs.borrow());
     RecoveryRun {
         healthy_mean,
         steady_mean,

@@ -11,8 +11,8 @@ use detsim::SimDuration;
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use stencil_core::{AdaptOutcome, AdaptPolicy, DomainBuilder, SkipReason};
 use topo::summit::summit_cluster;
 
@@ -25,8 +25,8 @@ use topo::summit::summit_cluster;
 fn flapping_nic_never_triggers_migration() {
     const WARMUP: usize = 3;
     const FAULTED_ITERS: usize = 12;
-    let outcomes: Arc<Mutex<Vec<AdaptOutcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let o2 = Arc::clone(&outcomes);
+    let outcomes: Rc<RefCell<Vec<AdaptOutcome>>> = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
     let world = WorldConfig::new(summit_cluster(2), 3)
         .data_mode(DataMode::Virtual)
         .metrics(true);
@@ -72,10 +72,10 @@ fn flapping_nic_never_triggers_migration() {
             mine.push(dom.adapt(ctx, &mut monitor));
         }
         if ctx.rank() == 0 {
-            *o2.lock() = mine;
+            *o2.borrow_mut() = mine;
         }
     });
-    let outcomes = outcomes.lock().clone();
+    let outcomes = outcomes.borrow().clone();
     assert_eq!(outcomes.len(), WARMUP + FAULTED_ITERS);
     for (i, o) in outcomes.iter().take(WARMUP).enumerate() {
         assert_eq!(

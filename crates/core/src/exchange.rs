@@ -19,13 +19,13 @@
 //! message (paper §VI) is a plan with several `Segment`s; a per-direction
 //! plan is the one-segment case.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use detsim::{Completion, Kernel, SimDuration, SimTime};
 use gpusim::{Buffer, GpuMachine, Stream, Work};
 use mpisim::{Channel, RankCtx};
-use parking_lot::Mutex;
 
 use crate::dim3::Dim3;
 use crate::domain::{DistributedDomain, DomainSpec};
@@ -41,7 +41,7 @@ use crate::stats::PlanSummary;
 /// analogue of the `cudaIpc` event handles real colocated exchange shares
 /// at setup so that no MPI happens during exchanges.
 #[derive(Clone)]
-pub struct Mailbox(Arc<Mutex<MailboxState>>);
+pub struct Mailbox(Rc<RefCell<MailboxState>>);
 
 #[derive(Default)]
 struct MailboxState {
@@ -51,11 +51,11 @@ struct MailboxState {
 
 impl Mailbox {
     fn new() -> Mailbox {
-        Mailbox(Arc::new(Mutex::new(MailboxState::default())))
+        Mailbox(Rc::new(RefCell::new(MailboxState::default())))
     }
 
     fn put(&self, k: &mut Kernel, c: Completion) {
-        let mut st = self.0.lock();
+        let mut st = self.0.borrow_mut();
         st.items.push_back(c);
         // Complete *every* queued waiter: pollers may abandon a waiter
         // without ever blocking on it (wait_any returns early when another
@@ -71,7 +71,7 @@ impl Mailbox {
     /// Take a landed-data completion, or a completion to wait on before
     /// retrying.
     fn try_take(&self, k: &mut Kernel) -> Result<Completion, Completion> {
-        let mut st = self.0.lock();
+        let mut st = self.0.borrow_mut();
         match st.items.pop_front() {
             Some(c) => Ok(c),
             None => {
@@ -114,7 +114,7 @@ pub(crate) enum Post {
 #[derive(Clone)]
 pub(crate) struct Segment {
     /// The subdomain's arrays, shared by all its segments.
-    pub arrays: Arc<[Buffer]>,
+    pub arrays: Rc<[Buffer]>,
     pub dims: Dim3,
     pub elem: usize,
     pub region: Region,
@@ -338,9 +338,9 @@ pub(crate) fn build_plans(
     for local in locals {
         let ext = local.interior.extent;
         let sid = dom_part.subdomain_id(local.node_idx, local.gpu_idx) as u64;
-        let arrays: Arc<[Buffer]> = local.arrays.clone().into();
+        let arrays: Rc<[Buffer]> = local.arrays.clone().into();
         let segment = |region, bytes, stream, dev_buf| Segment {
-            arrays: Arc::clone(&arrays),
+            arrays: Rc::clone(&arrays),
             dims: local.dims,
             elem: spec.elem_size,
             region,

@@ -59,18 +59,27 @@ pub struct Partition {
 
 impl Partition {
     /// Decompose `domain` among `num_nodes` nodes of `gpus_per_node` GPUs.
+    /// Panics with [`Partition::try_new`]'s message if the domain cannot
+    /// be decomposed.
     pub fn new(domain: Dim3, num_nodes: usize, gpus_per_node: usize) -> Partition {
-        assert!(domain.iter().all(|&d| d > 0), "empty domain");
+        Self::try_new(domain, num_nodes, gpus_per_node).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`Partition::new`], but an empty domain, or one with fewer cells
+    /// along an axis than the decomposition has parts, is an `Err`.
+    pub fn try_new(domain: Dim3, num_nodes: usize, gpus_per_node: usize) -> Result<Self, String> {
+        if domain.contains(&0) {
+            return Err("empty domain".into());
+        }
         let node_dims = choose_dims(domain, num_nodes);
         let proto = [
             domain[0] / node_dims[0] as u64,
             domain[1] / node_dims[1] as u64,
             domain[2] / node_dims[2] as u64,
         ];
-        assert!(
-            proto.iter().all(|&p| p > 0),
-            "domain {domain:?} too small for {num_nodes} nodes"
-        );
+        if proto.contains(&0) {
+            return Err(format!("domain {domain:?} too small for {num_nodes} nodes"));
+        }
         let gpu_dims = choose_dims(proto, gpus_per_node);
         let p = Partition {
             domain,
@@ -78,13 +87,12 @@ impl Partition {
             gpu_dims,
         };
         let g = p.global_dims();
-        for a in 0..3 {
-            assert!(
-                g[a] as u64 <= domain[a],
+        if (0..3).any(|a| g[a] as u64 > domain[a]) {
+            return Err(format!(
                 "domain {domain:?} too small for decomposition {g:?}"
-            );
+            ));
         }
-        p
+        Ok(p)
     }
 
     /// Build from explicit grid shapes (forced decompositions, tests,
@@ -289,6 +297,19 @@ mod tests {
         let p = Partition::new([4, 24, 2], 12, 4);
         assert_eq!(p.node_dims, [2, 6, 1]);
         assert_eq!(p.gpu_dims, [2, 2, 1]);
+    }
+
+    #[test]
+    fn try_new_refuses_what_new_panics_on() {
+        assert_eq!(
+            Partition::try_new([4, 24, 2], 12, 4),
+            Ok(Partition::new([4, 24, 2], 12, 4))
+        );
+        // 64 cells for 30 subdomains, but 5 nodes split one 4-cell axis.
+        let e = Partition::try_new([4, 4, 4], 5, 6).unwrap_err();
+        assert_eq!(e, "domain [4, 4, 4] too small for 5 nodes");
+        assert!(Partition::try_new([0, 4, 4], 1, 1).is_err());
+        assert!(Partition::try_new([2, 2, 2], 1, 27).is_err());
     }
 
     #[test]

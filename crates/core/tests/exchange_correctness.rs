@@ -2,10 +2,10 @@
 //! rank layout, radius, and neighborhood must deliver exactly the right
 //! bytes to exactly the right halo cells (with periodic wrap).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{Dim3, DomainBuilder, Methods, Neighborhood, PlacementStrategy, Radius};
 use topo::summit::summit_cluster;
 
@@ -55,8 +55,8 @@ fn check_exchange(case: Case) {
         cuda_aware,
         placement,
     } = case;
-    let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let f2 = Arc::clone(&failures);
+    let failures: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    let f2 = Rc::clone(&failures);
     let cfg = WorldConfig::new(summit_cluster(nodes), rpn)
         .cuda_aware(cuda_aware)
         .mpi_persistent(methods.contains(stencil_core::Method::PersistentStaged))
@@ -118,7 +118,7 @@ fn check_exchange(case: Case) {
                                 ];
                                 let want = cell_value(domain, q, gp);
                                 if got != want {
-                                    f2.lock().push(format!(
+                                    f2.borrow_mut().push(format!(
                                         "rank {} local {:?} dir {:?} q{q} cell [{x},{y},{z}] \
                                          (global {gp:?}): got {got}, want {want}",
                                         ctx.rank(),
@@ -143,7 +143,7 @@ fn check_exchange(case: Case) {
                                 [o[0] + x as u64, o[1] + y as u64, o[2] + z as u64],
                             );
                             if got != want {
-                                f2.lock().push(format!(
+                                f2.borrow_mut().push(format!(
                                     "rank {} interior corrupted at [{x},{y},{z}] q{q}",
                                     ctx.rank()
                                 ));
@@ -154,7 +154,7 @@ fn check_exchange(case: Case) {
             }
         }
     });
-    let f = failures.lock();
+    let f = failures.borrow();
     assert!(
         f.is_empty(),
         "{} halo mismatches; first few:\n{}",
@@ -400,8 +400,8 @@ fn persistent_channels_reused_across_iterations_stay_correct() {
     // The channel is matched once at setup; later exchanges reuse it. Each
     // iteration writes fresh interior values, so a stale round would show
     // up as last iteration's bytes in the halo.
-    let failures: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-    let f2 = Arc::clone(&failures);
+    let failures: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+    let f2 = Rc::clone(&failures);
     let cfg = WorldConfig::new(summit_cluster(2), 6)
         .mpi_persistent(true)
         .mpi_partitioned(true);
@@ -432,21 +432,21 @@ fn persistent_channels_reused_across_iterations_stay_correct() {
                             o[2] + z as u64,
                         ];
                         if got != cell_value(domain, 0, gp) + bump {
-                            *f2.lock() += 1;
+                            *f2.borrow_mut() += 1;
                         }
                     }
                 }
             }
         }
     });
-    assert_eq!(*failures.lock(), 0);
+    assert_eq!(*failures.borrow(), 0);
 }
 
 #[test]
 fn exchange_twice_still_correct() {
     // a second exchange must not corrupt anything (buffer reuse).
-    let failures: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-    let f2 = Arc::clone(&failures);
+    let failures: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+    let f2 = Rc::clone(&failures);
     let cfg = WorldConfig::new(summit_cluster(1), 6);
     run_world(cfg, move |ctx| {
         let domain = [24, 18, 12];
@@ -474,13 +474,13 @@ fn exchange_twice_still_correct() {
                         o[2] + z as u64,
                     ];
                     if got != cell_value(domain, 0, gp) {
-                        *f2.lock() += 1;
+                        *f2.borrow_mut() += 1;
                     }
                 }
             }
         }
     });
-    assert_eq!(*failures.lock(), 0);
+    assert_eq!(*failures.borrow(), 0);
 }
 
 #[test]
@@ -511,8 +511,8 @@ mod open_boundary {
     fn check_open(nodes: usize, rpn: usize, methods: Methods) {
         const SENTINEL: f32 = -999.5;
         let domain: Dim3 = [24, 18, 12];
-        let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let f2 = Arc::clone(&failures);
+        let failures: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+        let f2 = Rc::clone(&failures);
         let cfg = WorldConfig::new(summit_cluster(nodes), rpn);
         run_world(cfg, move |ctx| {
             let dom = DomainBuilder::new(domain)
@@ -575,7 +575,7 @@ mod open_boundary {
                                 SENTINEL // outward halo must be untouched
                             };
                             if got != want {
-                                f2.lock().push(format!(
+                                f2.borrow_mut().push(format!(
                                     "rank {} cell [{x},{y},{z}] global [{gx},{gy},{gz}]: \
                                      got {got}, want {want}",
                                     ctx.rank()
@@ -586,7 +586,7 @@ mod open_boundary {
                 }
             }
         });
-        let f = failures.lock();
+        let f = failures.borrow();
         assert!(
             f.is_empty(),
             "{} open-boundary mismatches; first:\n{}",
@@ -618,16 +618,16 @@ mod open_boundary {
     #[test]
     fn open_domain_has_fewer_transfers_than_periodic() {
         let count = |b: Boundary| {
-            let out: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-            let o2 = Arc::clone(&out);
+            let out: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+            let o2 = Rc::clone(&out);
             run_world(WorldConfig::new(summit_cluster(1), 1), move |ctx| {
                 let dom = DomainBuilder::new([24, 18, 12])
                     .radius(1)
                     .boundary(b)
                     .build(ctx);
-                *o2.lock() = dom.plan_summary().total_sends();
+                *o2.borrow_mut() = dom.plan_summary().total_sends();
             });
-            let v = *out.lock();
+            let v = *out.borrow();
             v
         };
         let periodic = count(Boundary::Periodic);
@@ -648,8 +648,8 @@ mod consolidated {
         // Consolidation groups all staged (off-node) transfers per
         // (subdomain, destination rank); the halo contents must be
         // unchanged.
-        let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let f2 = Arc::clone(&failures);
+        let failures: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+        let f2 = Rc::clone(&failures);
         let domain: Dim3 = [24, 24, 24];
         run_world(WorldConfig::new(summit_cluster(2), 6), move |ctx| {
             let dom = DomainBuilder::new(domain)
@@ -685,7 +685,7 @@ mod consolidated {
                                 ];
                                 let want = cell_value(domain, q, gp);
                                 if got != want {
-                                    f2.lock().push(format!(
+                                    f2.borrow_mut().push(format!(
                                         "rank {} q{q} [{x},{y},{z}]: got {got} want {want}",
                                         ctx.rank()
                                     ));
@@ -696,15 +696,15 @@ mod consolidated {
                 }
             }
         });
-        let f = failures.lock();
+        let f = failures.borrow();
         assert!(f.is_empty(), "{} mismatches: {:?}", f.len(), f.first());
     }
 
     #[test]
     fn consolidated_staged_only_single_node() {
         // With staged-only methods even on-node messages group.
-        let failures: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-        let f2 = Arc::clone(&failures);
+        let failures: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+        let f2 = Rc::clone(&failures);
         let domain: Dim3 = [24, 18, 12];
         run_world(WorldConfig::new(summit_cluster(1), 6), move |ctx| {
             let dom = DomainBuilder::new(domain)
@@ -730,20 +730,20 @@ mod consolidated {
                             o[2] + z as u64,
                         ];
                         if got != cell_value(domain, 0, gp) {
-                            *f2.lock() += 1;
+                            *f2.borrow_mut() += 1;
                         }
                     }
                 }
             }
         });
-        assert_eq!(*failures.lock(), 0);
+        assert_eq!(*failures.borrow(), 0);
     }
 
     #[test]
     fn consolidation_is_deterministic_and_comparable() {
         let time = |consolidate: bool| {
-            let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-            let o2 = Arc::clone(&out);
+            let out: Rc<RefCell<f64>> = Rc::new(RefCell::new(0.0));
+            let o2 = Rc::clone(&out);
             let cfg = WorldConfig::new(summit_cluster(2), 6).data_mode(gpusim::DataMode::Virtual);
             run_world(cfg, move |ctx| {
                 let dom = DomainBuilder::new([512, 512, 512])
@@ -755,12 +755,12 @@ mod consolidated {
                 let t0 = ctx.wtime();
                 dom.exchange(ctx);
                 let dt = ctx.wtime() - t0;
-                let mut g = o2.lock();
+                let mut g = o2.borrow_mut();
                 if dt > *g {
                     *g = dt;
                 }
             });
-            let v = *out.lock();
+            let v = *out.borrow();
             v
         };
         let plain = time(false);

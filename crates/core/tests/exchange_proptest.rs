@@ -2,10 +2,10 @@
 //! drives domain shapes, radii, rank layouts, method sets, and boundary
 //! conditions through the full simulated stack, checking every halo cell.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::dim3::Boundary;
 use stencil_core::{Dim3, DomainBuilder, Methods};
 use topo::summit::summit_cluster;
@@ -23,8 +23,8 @@ fn run_case(
     boundary: Boundary,
     consolidate: bool,
 ) -> Result<(), String> {
-    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let f2 = Arc::clone(&failure);
+    let failure: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
+    let f2 = Rc::clone(&failure);
     run_world(WorldConfig::new(summit_cluster(nodes), rpn), move |ctx| {
         let dom = DomainBuilder::new(domain)
             .radius(radius)
@@ -71,8 +71,8 @@ fn run_case(
                             0.0 // open-boundary outward halo: untouched zeros
                         };
                         let got = local.get_local_f32(0, [x, y, z]);
-                        if got != want && f2.lock().is_none() {
-                            *f2.lock() = Some(format!(
+                        if got != want && f2.borrow().is_none() {
+                            *f2.borrow_mut() = Some(format!(
                                 "rank {} cell [{x},{y},{z}] (global [{gx},{gy},{gz}]): \
                                  got {got}, want {want}",
                                 ctx.rank()
@@ -83,7 +83,7 @@ fn run_case(
             }
         }
     });
-    let f = failure.lock().clone();
+    let f = failure.borrow().clone();
     match f {
         None => Ok(()),
         Some(msg) => Err(msg),
@@ -149,8 +149,8 @@ fn prop_second_exchange_is_idempotent() {
         (16, 16, 16, 1),
     ] {
         let domain = [dx, dy, dz];
-        let diffs: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-        let d2 = Arc::clone(&diffs);
+        let diffs: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+        let d2 = Rc::clone(&diffs);
         run_world(WorldConfig::new(summit_cluster(1), 6), move |ctx| {
             let dom = DomainBuilder::new(domain).radius(radius).build(ctx);
             for local in dom.locals() {
@@ -184,7 +184,7 @@ fn prop_second_exchange_is_idempotent() {
                 for z in -r..=(e[2] as i64 + r - 1) {
                     for y in -r..=(e[1] as i64 + r - 1) {
                         if l.get_local_f32(0, [-1, y, z]) != snap[li][i] {
-                            *d2.lock() += 1;
+                            *d2.borrow_mut() += 1;
                         }
                         i += 1;
                         let _ = z;
@@ -192,6 +192,6 @@ fn prop_second_exchange_is_idempotent() {
                 }
             }
         });
-        assert_eq!(*diffs.lock(), 0, "domain {domain:?} r={radius}");
+        assert_eq!(*diffs.borrow(), 0, "domain {domain:?} r={radius}");
     }
 }

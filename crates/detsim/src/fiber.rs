@@ -17,7 +17,7 @@
 //!
 //! * All fibers of a [`Runtime`] run on the **same OS thread**, strictly
 //!   interleaved — there is no concurrency, so `Cell`s are enough for the
-//!   mutable slots and the kernel mutex is never contended.
+//!   mutable slots and a `RefCell` for the kernel.
 //! * Unwinding never crosses a `fiber_switch`: the fiber entry wrapper
 //!   catches every panic before it could reach the assembly frame.
 //! * A fiber that is abandoned mid-flight (simulation poisoned while it

@@ -27,7 +27,7 @@ pub struct FifoToken {
     fifo: FifoId,
 }
 
-type Task = Box<dyn FnOnce(&mut Kernel, FifoToken) + Send>;
+type Task = Box<dyn FnOnce(&mut Kernel, FifoToken)>;
 
 struct Fifo {
     name: String,
@@ -67,7 +67,7 @@ impl Kernel {
     pub fn fifo_submit(
         &mut self,
         fifo: FifoId,
-        task: impl FnOnce(&mut Kernel, FifoToken) + Send + 'static,
+        task: impl FnOnce(&mut Kernel, FifoToken) + 'static,
     ) {
         let now = self.now();
         let f = &mut self.fifos.fifos[fifo.0];
@@ -95,7 +95,7 @@ impl Kernel {
         &mut self,
         fifo: FifoId,
         service: crate::time::SimDuration,
-        on_done: impl FnOnce(&mut Kernel) + Send + 'static,
+        on_done: impl FnOnce(&mut Kernel) + 'static,
     ) {
         self.fifo_submit(fifo, move |k, token| {
             k.schedule_in(service, move |k| {
@@ -159,22 +159,22 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn serial_fifo_serializes() {
         let mut k = Kernel::new();
         let f = k.add_fifo("stream", 1);
-        let ends: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![]));
+        let ends: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for _ in 0..3 {
-            let ends = Arc::clone(&ends);
+            let ends = Rc::clone(&ends);
             k.fifo_submit_timed(f, SimDuration::from_micros(10), move |k| {
-                ends.lock().push(k.now().picos());
+                ends.borrow_mut().push(k.now().picos());
             });
         }
         k.run_to_completion();
-        let e = ends.lock();
+        let e = ends.borrow();
         assert_eq!(
             *e,
             vec![
@@ -190,16 +190,16 @@ mod tests {
     fn concurrency_two_overlaps_pairs() {
         let mut k = Kernel::new();
         let f = k.add_fifo("engines", 2);
-        let ends: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![]));
+        let ends: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for _ in 0..4 {
-            let ends = Arc::clone(&ends);
+            let ends = Rc::clone(&ends);
             k.fifo_submit_timed(f, SimDuration::from_micros(10), move |k| {
-                ends.lock().push(k.now().picos());
+                ends.borrow_mut().push(k.now().picos());
             });
         }
         k.run_to_completion();
         let us = |n| SimDuration::from_micros(n).picos();
-        assert_eq!(*ends.lock(), vec![us(10), us(10), us(20), us(20)]);
+        assert_eq!(*ends.borrow(), vec![us(10), us(10), us(20), us(20)]);
     }
 
     #[test]
@@ -207,23 +207,23 @@ mod tests {
         let mut k = Kernel::new();
         let f = k.add_fifo("stream", 1);
         let l = k.add_link("link", 100.0, SimDuration::ZERO);
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(vec![]));
+        let order: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
         // Task 1: a flow of 100 bytes (1 second), slot held until it lands.
-        let o1 = Arc::clone(&order);
+        let o1 = Rc::clone(&order);
         k.fifo_submit(f, move |k, token| {
             k.start_flow(&[l], 100, move |k| {
-                o1.lock().push("flow-done");
+                o1.borrow_mut().push("flow-done");
                 k.fifo_task_done(token);
             });
         });
         // Task 2: instantaneous, but must wait for task 1's flow.
-        let o2 = Arc::clone(&order);
+        let o2 = Rc::clone(&order);
         k.fifo_submit(f, move |k, token| {
-            o2.lock().push("task2");
+            o2.borrow_mut().push("task2");
             k.fifo_task_done(token);
         });
         k.run_to_completion();
-        assert_eq!(*order.lock(), vec!["flow-done", "task2"]);
+        assert_eq!(*order.borrow(), vec!["flow-done", "task2"]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_secs_f64(1.0));
     }
 

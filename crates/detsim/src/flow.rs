@@ -335,7 +335,7 @@ impl Kernel {
         &mut self,
         path: &[LinkId],
         bytes: u64,
-        on_done: impl FnOnce(&mut Kernel) + Send + 'static,
+        on_done: impl FnOnce(&mut Kernel) + 'static,
     ) {
         if path.is_empty() {
             self.schedule_in(SimDuration::ZERO, on_done);
@@ -530,21 +530,21 @@ mod tests {
     use super::*;
     use crate::kernel::Kernel;
     use crate::time::PS_PER_SEC;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
-    fn finish_time(k: &mut Kernel, done: &Arc<AtomicU64>) -> f64 {
+    fn finish_time(k: &mut Kernel, done: &Rc<Cell<u64>>) -> f64 {
         k.run_to_completion();
-        assert!(done.load(Ordering::SeqCst) > 0, "flow never finished");
+        assert!(done.get() > 0, "flow never finished");
         k.now().as_secs_f64()
     }
 
-    fn make_done(k: &mut Kernel) -> (Arc<AtomicU64>, impl FnOnce(&mut Kernel) + Send + 'static) {
+    fn make_done(k: &mut Kernel) -> (Rc<Cell<u64>>, impl FnOnce(&mut Kernel) + 'static) {
         let _ = k;
-        let done = Arc::new(AtomicU64::new(0));
-        let d2 = Arc::clone(&done);
+        let done = Rc::new(Cell::new(0));
+        let d2 = Rc::clone(&done);
         (done, move |k: &mut Kernel| {
-            d2.store(k.now().picos().max(1), Ordering::SeqCst);
+            d2.set(k.now().picos().max(1));
         })
     }
 
@@ -578,8 +578,8 @@ mod tests {
         k.start_flow(&[l], 100, cb2);
         k.run_to_completion();
         // Each gets 50 B/s -> both finish at t=2.
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 2.0).abs() < 1e-9, "t1={t1}");
         assert!((t2 - 2.0).abs() < 1e-9, "t2={t2}");
     }
@@ -597,10 +597,10 @@ mod tests {
         });
         k.run_to_completion();
         // flow1: 50B at 100B/s then 50B at 50B/s -> done at t=1.5
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 1.5).abs() < 1e-6, "t1={t1}");
         // flow2: 50B at 50B/s (until t=1.5), then 50B at 100B/s -> t=2.0
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t2 - 2.0).abs() < 1e-6, "t2={t2}");
     }
 
@@ -622,7 +622,7 @@ mod tests {
         k.start_flow(&[], 12345, cb);
         k.run_to_completion();
         assert_eq!(k.now(), SimTime::ZERO);
-        assert!(done.load(Ordering::SeqCst) > 0);
+        assert!(done.get() > 0);
     }
 
     #[test]
@@ -633,7 +633,7 @@ mod tests {
         k.start_flow(&[l], 0, cb);
         k.run_to_completion();
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(7));
-        assert!(done.load(Ordering::SeqCst) > 0);
+        assert!(done.get() > 0);
     }
 
     #[test]
@@ -658,8 +658,8 @@ mod tests {
         k.start_flow(&[a], 100, cb_a);
         k.start_flow(&[b], 100, cb_b);
         k.run_to_completion();
-        let ta = done_a.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let tb = done_b.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let ta = done_a.get() as f64 / PS_PER_SEC as f64;
+        let tb = done_b.get() as f64 / PS_PER_SEC as f64;
         assert!((ta - 1.0).abs() < 1e-9);
         assert!((tb - 1.0).abs() < 1e-9);
     }
@@ -668,21 +668,21 @@ mod tests {
     fn many_flows_conserve_bytes() {
         let mut k = Kernel::new();
         let l = k.add_link("l", 1e9, SimDuration::from_micros(1));
-        let total = Arc::new(AtomicU64::new(0));
+        let total = Rc::new(Cell::new(0));
         let mut expected = 0u64;
         for i in 1..=64u64 {
             let bytes = i * 1000;
             expected += bytes;
-            let total = Arc::clone(&total);
+            let total = Rc::clone(&total);
             // stagger starts
             k.schedule_in(SimDuration::from_nanos(i * 100), move |k| {
                 k.start_flow(&[l], bytes, move |_| {
-                    total.fetch_add(bytes, Ordering::SeqCst);
+                    total.set(total.get() + bytes);
                 });
             });
         }
         k.run_to_completion();
-        assert_eq!(total.load(Ordering::SeqCst), expected);
+        assert_eq!(total.get(), expected);
         assert_eq!(k.link_delivered(l), expected);
         assert_eq!(k.active_flows(), 0);
     }
@@ -733,8 +733,8 @@ mod tests {
             k.set_link_capacity(a, 10.0);
         });
         k.run_to_completion();
-        let ta = done_a.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let tb = done_b.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let ta = done_a.get() as f64 / PS_PER_SEC as f64;
+        let tb = done_b.get() as f64 / PS_PER_SEC as f64;
         // a: 50 B at 100 B/s then 50 B at 10 B/s -> 5.5s; b untouched.
         assert!((ta - 5.5).abs() < 1e-6, "ta={ta}");
         assert!((tb - 1.0).abs() < 1e-9, "tb={tb}");
@@ -786,7 +786,7 @@ mod tests {
                 });
             }
             k.run_to_completion();
-            done.load(Ordering::SeqCst)
+            done.get()
         };
         assert_eq!(
             run(false),
@@ -811,8 +811,8 @@ mod tests {
             k.start_flow(&[l], 100, cb2);
         });
         k.run_to_completion();
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 1.25).abs() < 1e-9, "t1={t1}");
         assert!((t2 - 4.0).abs() < 1e-9, "t2={t2}");
     }

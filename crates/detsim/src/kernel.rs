@@ -2,8 +2,9 @@
 //! one-shot completions.
 //!
 //! All simulation state (links, flows, FIFOs, traces, scheduler bookkeeping)
-//! hangs off [`Kernel`]. Exactly one thread touches the kernel at a time (it
-//! lives behind a mutex owned by [`crate::Sim`]), so event callbacks get
+//! hangs off [`Kernel`]. A world has one owner: [`crate::Sim`] holds the
+//! kernel in an `Rc<RefCell<_>>` and every rank and event callback runs on
+//! the thread that called `Sim::run`, one at a time, so event callbacks get
 //! `&mut Kernel` and can mutate anything.
 //!
 //! Determinism: events are ordered by `(time, sequence-number)` where the
@@ -11,12 +12,11 @@
 //! the same instant therefore execute in scheduling order, independent of
 //! heap internals.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::fifo::FifoTable;
 use crate::flow::{FlowId, FlowNet};
@@ -26,7 +26,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
 /// A callback run by the event loop. Runs at most once.
-pub type Action = Box<dyn FnOnce(&mut Kernel) + Send>;
+pub type Action = Box<dyn FnOnce(&mut Kernel)>;
 
 /// A type-erased `FnOnce(&mut Kernel)` that stores one-word closures inline
 /// instead of boxing them.
@@ -49,12 +49,8 @@ struct ActionVTable {
     drop: unsafe fn(*mut *mut ()),
 }
 
-// SAFETY: constructed only from `F: Send` closures (enforced by `new`), and
-// the vtable functions only touch that F.
-unsafe impl Send for SmallAction {}
-
 impl SmallAction {
-    pub(crate) fn new<F: FnOnce(&mut Kernel) + Send + 'static>(f: F) -> Self {
+    pub(crate) fn new<F: FnOnce(&mut Kernel) + 'static>(f: F) -> Self {
         let mut data = MaybeUninit::<*mut ()>::uninit();
         if size_of::<F>() <= size_of::<*mut ()>() && align_of::<F>() <= align_of::<*mut ()>() {
             unsafe { data.as_mut_ptr().cast::<F>().write(f) };
@@ -187,20 +183,19 @@ enum CompletionState {
 /// chain off them via [`Kernel::on_complete`]. Cloning yields another handle
 /// to the same underlying signal.
 #[derive(Clone)]
-pub struct Completion(Arc<Mutex<CompletionState>>);
+pub struct Completion(Rc<RefCell<CompletionState>>);
 
 impl Completion {
     pub(crate) fn new() -> Self {
-        Completion(Arc::new(Mutex::new(CompletionState::Pending {
+        Completion(Rc::new(RefCell::new(CompletionState::Pending {
             waiters: Vec::new(),
             callbacks: Vec::new(),
         })))
     }
 
-    /// Whether the completion has fired. Only meaningful while holding the
-    /// kernel lock (i.e. from sim threads or event callbacks).
+    /// Whether the completion has fired.
     pub fn is_done(&self) -> bool {
-        matches!(*self.0.lock(), CompletionState::Done)
+        matches!(*self.0.borrow(), CompletionState::Done)
     }
 }
 
@@ -293,7 +288,7 @@ impl Kernel {
     /// Schedule `action` to run at absolute time `at`. Scheduling into the
     /// past is clamped to "now" (it still runs strictly after the current
     /// callback returns).
-    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + Send + 'static) {
+    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + 'static) {
         let at = at.max(self.now);
         push_event(
             &mut self.queue,
@@ -318,11 +313,7 @@ impl Kernel {
     }
 
     /// Schedule `action` to run `d` from now.
-    pub fn schedule_in(
-        &mut self,
-        d: SimDuration,
-        action: impl FnOnce(&mut Kernel) + Send + 'static,
-    ) {
+    pub fn schedule_in(&mut self, d: SimDuration, action: impl FnOnce(&mut Kernel) + 'static) {
         self.schedule_at(self.now + d, action);
     }
 
@@ -348,16 +339,13 @@ impl Kernel {
             self.complete(&all);
             return all;
         }
-        let count = Arc::new(Mutex::new(pending.len()));
+        let count = Rc::new(Cell::new(pending.len()));
         for part in pending {
             let all = all.clone();
-            let count = Arc::clone(&count);
+            let count = Rc::clone(&count);
             self.on_complete(part, move |k| {
-                let mut n = count.lock();
-                *n -= 1;
-                let zero = *n == 0;
-                drop(n);
-                if zero {
+                count.set(count.get() - 1);
+                if count.get() == 0 {
                     k.complete(&all);
                 }
             });
@@ -368,7 +356,7 @@ impl Kernel {
     /// Fire a completion: wake all waiting threads and run all chained
     /// callbacks (in registration order). Completing twice is a no-op.
     pub fn complete(&mut self, c: &Completion) {
-        let prev = std::mem::replace(&mut *c.0.lock(), CompletionState::Done);
+        let prev = c.0.replace(CompletionState::Done);
         if let CompletionState::Pending { waiters, callbacks } = prev {
             for tid in waiters {
                 self.sched.make_runnable(tid);
@@ -380,12 +368,8 @@ impl Kernel {
     }
 
     /// Run `action` when `c` completes; immediately if it already has.
-    pub fn on_complete(
-        &mut self,
-        c: &Completion,
-        action: impl FnOnce(&mut Kernel) + Send + 'static,
-    ) {
-        let mut st = c.0.lock();
+    pub fn on_complete(&mut self, c: &Completion, action: impl FnOnce(&mut Kernel) + 'static) {
+        let mut st = c.0.borrow_mut();
         match &mut *st {
             CompletionState::Pending { callbacks, .. } => {
                 callbacks.push(SmallAction::new(action));
@@ -400,7 +384,7 @@ impl Kernel {
     /// Register sim thread `tid` as a waiter. Returns `true` if the
     /// completion was already done (no registration happened).
     pub(crate) fn add_waiter(&mut self, c: &Completion, tid: usize) -> bool {
-        let mut st = c.0.lock();
+        let mut st = c.0.borrow_mut();
         match &mut *st {
             CompletionState::Pending { waiters, .. } => {
                 waiters.push(tid);
@@ -503,42 +487,46 @@ mod tests {
     #[test]
     fn events_execute_in_time_order() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for (i, us) in [(1u32, 30u64), (2, 10), (3, 20)] {
-            let log = Arc::clone(&log);
-            k.schedule_in(SimDuration::from_micros(us), move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.schedule_in(SimDuration::from_micros(us), move |_| {
+                log.borrow_mut().push(i)
+            });
         }
         k.run_to_completion();
-        assert_eq!(*log.lock(), vec![2, 3, 1]);
+        assert_eq!(*log.borrow(), vec![2, 3, 1]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(30));
     }
 
     #[test]
     fn same_time_events_execute_in_schedule_order() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for i in 0..100u32 {
-            let log = Arc::clone(&log);
-            k.schedule_in(SimDuration::from_micros(5), move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.schedule_in(SimDuration::from_micros(5), move |_| {
+                log.borrow_mut().push(i)
+            });
         }
         k.run_to_completion();
-        assert_eq!(*log.lock(), (0..100).collect::<Vec<_>>());
+        assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn nested_scheduling_from_callbacks() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(vec![]));
-        let l2 = Arc::clone(&log);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
+        let l2 = Rc::clone(&log);
         k.schedule_in(SimDuration::from_micros(1), move |k| {
-            l2.lock().push("outer");
-            let l3 = Arc::clone(&l2);
+            l2.borrow_mut().push("outer");
+            let l3 = Rc::clone(&l2);
             k.schedule_in(SimDuration::from_micros(1), move |_| {
-                l3.lock().push("inner");
+                l3.borrow_mut().push("inner");
             });
         });
         k.run_to_completion();
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
+        assert_eq!(*log.borrow(), vec!["outer", "inner"]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(2));
     }
 
@@ -546,15 +534,15 @@ mod tests {
     fn completion_fires_callbacks_in_order() {
         let mut k = Kernel::new();
         let c = k.completion();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for i in 0..5u32 {
-            let log = Arc::clone(&log);
-            k.on_complete(&c, move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.on_complete(&c, move |_| log.borrow_mut().push(i));
         }
         assert!(!c.is_done());
         k.complete(&c);
         assert!(c.is_done());
-        assert_eq!(*log.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -562,22 +550,22 @@ mod tests {
         let mut k = Kernel::new();
         let c = k.completion();
         k.complete(&c);
-        let hit = Arc::new(Mutex::new(false));
-        let h2 = Arc::clone(&hit);
-        k.on_complete(&c, move |_| *h2.lock() = true);
-        assert!(*hit.lock());
+        let hit = Rc::new(RefCell::new(false));
+        let h2 = Rc::clone(&hit);
+        k.on_complete(&c, move |_| *h2.borrow_mut() = true);
+        assert!(*hit.borrow());
     }
 
     #[test]
     fn double_complete_is_noop() {
         let mut k = Kernel::new();
         let c = k.completion();
-        let hits = Arc::new(Mutex::new(0));
-        let h2 = Arc::clone(&hits);
-        k.on_complete(&c, move |_| *h2.lock() += 1);
+        let hits = Rc::new(RefCell::new(0));
+        let h2 = Rc::clone(&hits);
+        k.on_complete(&c, move |_| *h2.borrow_mut() += 1);
         k.complete(&c);
         k.complete(&c);
-        assert_eq!(*hits.lock(), 1);
+        assert_eq!(*hits.borrow(), 1);
     }
 
     #[test]
@@ -607,16 +595,16 @@ mod tests {
     #[test]
     fn schedule_into_past_clamps_to_now() {
         let mut k = Kernel::new();
-        let fired_at = Arc::new(Mutex::new(SimTime::ZERO));
-        let f2 = Arc::clone(&fired_at);
+        let fired_at = Rc::new(RefCell::new(SimTime::ZERO));
+        let f2 = Rc::clone(&fired_at);
         k.schedule_in(SimDuration::from_micros(10), move |k| {
-            let f3 = Arc::clone(&f2);
+            let f3 = Rc::clone(&f2);
             // deliberately "before now"
-            k.schedule_at(SimTime::ZERO, move |k| *f3.lock() = k.now());
+            k.schedule_at(SimTime::ZERO, move |k| *f3.borrow_mut() = k.now());
         });
         k.run_to_completion();
         assert_eq!(
-            *fired_at.lock(),
+            *fired_at.borrow(),
             SimTime::ZERO + SimDuration::from_micros(10)
         );
     }

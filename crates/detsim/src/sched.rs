@@ -16,10 +16,9 @@
 //! determinism argument, and how this replaced the earlier
 //! one-OS-thread-per-rank design — is documented in `docs/RUNTIME.md`.
 
+use std::cell::{RefCell, RefMut};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::fiber::{FiberFn, Runtime, DEFAULT_STACK_SIZE, RESUME_POISON, RESUME_RUN};
 use crate::kernel::{Completion, Kernel};
@@ -176,21 +175,26 @@ impl SchedState {
 /// use detsim::{Sim, SimDuration};
 ///
 /// let mut sim = Sim::new();
-/// let order = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+/// let order = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
 /// let o = order.clone();
 /// sim.run(2, move |ctx| {
 ///     ctx.delay(SimDuration::from_micros(10 * (ctx.tid() as u64 + 1)));
-///     o.lock().push(ctx.tid());
+///     o.borrow_mut().push(ctx.tid());
 /// });
-/// assert_eq!(*order.lock(), vec![0, 1]);
+/// assert_eq!(*order.borrow(), vec![0, 1]);
+/// ```
+///
+/// A world has one owner: every rank runs on the thread that called
+/// [`Sim::run`], so the kernel sits in an `Rc<RefCell<_>>` and a `Sim`
+/// cannot move to another thread.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<detsim::Sim>();
 /// ```
 pub struct Sim {
-    shared: Arc<SimShared>,
+    kernel: Rc<RefCell<Kernel>>,
     stack_size: usize,
-}
-
-pub(crate) struct SimShared {
-    pub(crate) kernel: Mutex<Kernel>,
 }
 
 impl Default for Sim {
@@ -203,9 +207,7 @@ impl Sim {
     /// A fresh simulation (empty kernel at t = 0).
     pub fn new() -> Self {
         Sim {
-            shared: Arc::new(SimShared {
-                kernel: Mutex::new(Kernel::new()),
-            }),
+            kernel: Rc::new(RefCell::new(Kernel::new())),
             stack_size: DEFAULT_STACK_SIZE,
         }
     }
@@ -236,9 +238,10 @@ impl Sim {
     /// Mutate or inspect the kernel outside of a running simulation
     /// (topology setup, reading traces/statistics afterwards).
     ///
-    /// Must not be called concurrently with [`Sim::run`].
+    /// Must not be called from inside [`Sim::run`] (ranks use
+    /// [`SimCtx::with_kernel`]).
     pub fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.shared.kernel.lock())
+        f(&mut self.kernel.borrow_mut())
     }
 
     /// Run `n` copies of `program` (distinguished by [`SimCtx::tid`]) to
@@ -246,12 +249,12 @@ impl Sim {
     /// returned. Virtual time persists across calls.
     pub fn run<F>(&mut self, n: usize, program: F)
     where
-        F: Fn(&SimCtx) + Send + Sync + 'static,
+        F: Fn(&SimCtx) + 'static,
     {
-        let program = Arc::new(program);
+        let program = Rc::new(program);
         let programs: Vec<Program> = (0..n)
             .map(|_| {
-                let p = Arc::clone(&program);
+                let p = Rc::clone(&program);
                 Box::new(move |ctx: &SimCtx| p(ctx)) as Program
             })
             .collect();
@@ -265,7 +268,7 @@ impl Sim {
             return;
         }
         {
-            let mut k = self.shared.kernel.lock();
+            let mut k = self.kernel.borrow_mut();
             assert!(
                 k.sched.alive == 0 && k.sched.current.is_none(),
                 "Sim::run re-entered while already running"
@@ -283,23 +286,23 @@ impl Sim {
         let rt = Runtime::new(n);
         let rt_ptr: *const Runtime = &rt;
         for (tid, program) in programs.into_iter().enumerate() {
-            let shared = Arc::clone(&self.shared);
+            let kernel = Rc::clone(&self.kernel);
             let f: FiberFn = Box::new(move |first_msg| {
-                fiber_main(shared, tid, rt_ptr, program, first_msg);
+                fiber_main(kernel, tid, rt_ptr, program, first_msg);
             });
             rt.spawn(f, self.stack_size);
         }
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| drive(&self.shared, &rt)))
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| drive(&self.kernel, &rt)))
             .unwrap_or_else(Outcome::Panicked);
         match outcome {
             Outcome::Completed => {}
             Outcome::Deadlock(msg) => {
-                poison_teardown(&self.shared, &rt);
+                poison_teardown(&self.kernel, &rt);
                 panic!("{msg}");
             }
             Outcome::Panicked(p) => {
-                self.shared.kernel.lock().sched.poisoned = true;
-                poison_teardown(&self.shared, &rt);
+                self.kernel.borrow_mut().sched.poisoned = true;
+                poison_teardown(&self.kernel, &rt);
                 panic::resume_unwind(p);
             }
         }
@@ -307,12 +310,12 @@ impl Sim {
 
     /// Virtual time at present.
     pub fn now(&self) -> SimTime {
-        self.shared.kernel.lock().now()
+        self.kernel.borrow().now()
     }
 }
 
 /// A boxed per-rank program.
-pub type Program = Box<dyn FnOnce(&SimCtx) + Send>;
+pub type Program = Box<dyn FnOnce(&SimCtx)>;
 
 /// Panic payload used to unwind ranks when the simulation has been poisoned
 /// (another rank panicked, or a deadlock was detected); filtered out in
@@ -338,10 +341,10 @@ enum Outcome {
 /// the scheduler's own context instead of by whichever rank was releasing
 /// the token. The sequence of pops and steps, and therefore every virtual
 /// timestamp, is unchanged. See `docs/RUNTIME.md`.
-fn drive(shared: &SimShared, rt: &Runtime) -> Outcome {
+fn drive(kernel: &RefCell<Kernel>, rt: &Runtime) -> Outcome {
     loop {
         let next = {
-            let mut k = shared.kernel.lock();
+            let mut k = kernel.borrow_mut();
             loop {
                 if let Some(next) = k.sched.ready.pop_first() {
                     k.sched.state[next] = RankState::Running;
@@ -367,7 +370,7 @@ fn drive(shared: &SimShared, rt: &Runtime) -> Outcome {
                 }
             }
         };
-        // Kernel unlocked: the fiber re-locks it at its own pace.
+        // Kernel released: the fiber borrows it again at its own pace.
         unsafe { rt.resume(next, RESUME_RUN) };
         if let Some(p) = rt.take_panic() {
             return Outcome::Panicked(p);
@@ -381,11 +384,11 @@ fn drive(shared: &SimShared, rt: &Runtime) -> Outcome {
 /// never come) is abandoned: its stack is freed without running the
 /// remaining frames. The old thread model hung forever on join in that
 /// case; leaking is strictly better.
-fn poison_teardown(shared: &SimShared, rt: &Runtime) {
-    let n = shared.kernel.lock().sched.state.len();
+fn poison_teardown(kernel: &RefCell<Kernel>, rt: &Runtime) {
+    let n = kernel.borrow().sched.state.len();
     for tid in 0..n {
         {
-            let mut k = shared.kernel.lock();
+            let mut k = kernel.borrow_mut();
             debug_assert!(k.sched.poisoned);
             if k.sched.state[tid] == RankState::Finished {
                 continue;
@@ -395,7 +398,7 @@ fn poison_teardown(shared: &SimShared, rt: &Runtime) {
             k.sched.current = Some(tid);
         }
         unsafe { rt.resume(tid, RESUME_POISON) };
-        let mut k = shared.kernel.lock();
+        let mut k = kernel.borrow_mut();
         if k.sched.current == Some(tid) {
             // The fiber re-blocked instead of finishing: abandon it.
             k.sched.current = None;
@@ -408,14 +411,14 @@ fn poison_teardown(shared: &SimShared, rt: &Runtime) {
 /// forever (the scheduler never resumes a finished fiber; its stack is
 /// freed when the runtime drops).
 fn fiber_main(
-    shared: Arc<SimShared>,
+    kernel: Rc<RefCell<Kernel>>,
     tid: usize,
     rt: *const Runtime,
     program: Program,
     first_msg: usize,
 ) {
     {
-        let ctx = SimCtx { shared, tid, rt };
+        let ctx = SimCtx { kernel, tid, rt };
         let panicked = if first_msg == RESUME_RUN {
             match panic::catch_unwind(AssertUnwindSafe(|| program(&ctx))) {
                 Ok(()) => None,
@@ -427,7 +430,7 @@ fn fiber_main(
             drop(program);
             None
         };
-        let mut k = ctx.shared.kernel.lock();
+        let mut k = ctx.kernel.borrow_mut();
         if k.sched.state[tid] != RankState::Finished {
             k.sched.state[tid] = RankState::Finished;
             k.sched.ready.remove(tid);
@@ -443,7 +446,7 @@ fn fiber_main(
         if let Some(p) = panicked {
             unsafe { (*rt).store_panic(p) };
         }
-        // `ctx` (and its Arc) drops here, before the final switch: nothing
+        // `ctx` (and its Rc) drops here, before the final switch: nothing
         // on this stack owns heap memory any more, so freeing the stack
         // without unwinding it leaks nothing.
     }
@@ -457,7 +460,7 @@ fn fiber_main(
 /// fiber and may suspend it (handing the run token back to the scheduler)
 /// until the wake condition holds.
 pub struct SimCtx {
-    shared: Arc<SimShared>,
+    kernel: Rc<RefCell<Kernel>>,
     tid: usize,
     rt: *const Runtime,
 }
@@ -470,13 +473,15 @@ impl SimCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.kernel.lock().now()
+        self.kernel.borrow().now()
     }
 
     /// Mutate the kernel (start flows, submit FIFO tasks, build hardware…).
-    /// Runs instantaneously in virtual time.
+    /// Runs instantaneously in virtual time. `f` gets the kernel itself:
+    /// calling back into this `SimCtx` from inside `f` panics with a
+    /// `RefCell` borrow error.
     pub fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.shared.kernel.lock())
+        f(&mut self.kernel.borrow_mut())
     }
 
     /// Block this rank for `d` of virtual time.
@@ -486,7 +491,7 @@ impl SimCtx {
     /// old completion-based implementation used, so virtual times are
     /// unchanged to the bit.
     pub fn delay(&self, d: SimDuration) {
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         k.schedule_wake(self.tid, d);
         loop {
             k = self.block(k);
@@ -502,7 +507,7 @@ impl SimCtx {
 
     /// Block until `c` completes. Returns immediately if it already has.
     pub fn wait(&self, c: &Completion) {
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         loop {
             if c.is_done() {
                 return;
@@ -523,7 +528,7 @@ impl SimCtx {
     /// first (lowest-index) completed one. Panics on an empty slice.
     pub fn wait_any(&self, cs: &[Completion]) -> usize {
         assert!(!cs.is_empty(), "wait_any on empty slice");
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         loop {
             if let Some(i) = cs.iter().position(|c| c.is_done()) {
                 return i;
@@ -542,8 +547,8 @@ impl SimCtx {
     }
 
     /// Give up the token — suspend this fiber and switch to the scheduler —
-    /// returning a re-acquired kernel guard once the token is granted back.
-    fn block<'a>(&'a self, mut guard: MutexGuard<'a, Kernel>) -> MutexGuard<'a, Kernel> {
+    /// returning a fresh kernel borrow once the token is granted back.
+    fn block<'a>(&'a self, mut guard: RefMut<'a, Kernel>) -> RefMut<'a, Kernel> {
         debug_assert_eq!(guard.sched.current, Some(self.tid));
         guard.sched.current = None;
         guard.sched.state[self.tid] = RankState::Blocked;
@@ -555,14 +560,14 @@ impl SimCtx {
             // a destructor is doing sim work and gets one chance to run.)
             panic::resume_unwind(Box::new(SimPoisoned));
         }
-        self.shared.kernel.lock()
+        self.kernel.borrow_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn ready_queue_pops_in_ascending_order() {
@@ -585,15 +590,15 @@ mod tests {
     #[test]
     fn threads_interleave_by_virtual_time() {
         let mut sim = Sim::new();
-        let log: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(vec![]));
-        let l = Arc::clone(&log);
+        let log: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(vec![]));
+        let l = Rc::clone(&log);
         sim.run(3, move |ctx| {
             // rank 0 sleeps 30us, rank 1 sleeps 20us, rank 2 sleeps 10us
             let d = SimDuration::from_micros(30 - 10 * ctx.tid() as u64);
             ctx.delay(d);
-            l.lock().push((ctx.tid(), ctx.now().picos()));
+            l.borrow_mut().push((ctx.tid(), ctx.now().picos()));
         });
-        let log = log.lock();
+        let log = log.borrow();
         assert_eq!(
             *log,
             vec![
@@ -608,13 +613,13 @@ mod tests {
     fn equal_wakeups_resolve_in_tid_order() {
         for _ in 0..10 {
             let mut sim = Sim::new();
-            let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(vec![]));
-            let l = Arc::clone(&log);
+            let log: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(vec![]));
+            let l = Rc::clone(&log);
             sim.run(4, move |ctx| {
                 ctx.delay(SimDuration::from_micros(5));
-                l.lock().push(ctx.tid());
+                l.borrow_mut().push(ctx.tid());
             });
-            assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
+            assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
         }
     }
 
@@ -623,29 +628,26 @@ mod tests {
         let mut sim = Sim::new();
         let c = sim.with_kernel(|k| k.completion());
         let c2 = c.clone();
-        let done_at = Arc::new(AtomicUsize::new(0));
-        let d2 = Arc::clone(&done_at);
+        let done_at = Rc::new(Cell::new(0));
+        let d2 = Rc::clone(&done_at);
         sim.run(2, move |ctx| {
             if ctx.tid() == 0 {
                 ctx.wait(&c2);
-                d2.store(ctx.now().picos() as usize, Ordering::SeqCst);
+                d2.set(ctx.now().picos() as usize);
             } else {
                 ctx.delay(SimDuration::from_micros(42));
                 let c3 = c2.clone();
                 ctx.with_kernel(move |k| k.complete(&c3));
             }
         });
-        assert_eq!(
-            done_at.load(Ordering::SeqCst) as u64,
-            SimDuration::from_micros(42).picos()
-        );
+        assert_eq!(done_at.get() as u64, SimDuration::from_micros(42).picos());
     }
 
     #[test]
     fn wait_any_returns_first_done() {
         let mut sim = Sim::new();
-        let winner = Arc::new(AtomicUsize::new(usize::MAX));
-        let w = Arc::clone(&winner);
+        let winner = Rc::new(Cell::new(usize::MAX));
+        let w = Rc::clone(&winner);
         sim.run(1, move |ctx| {
             let (a, b) = ctx.with_kernel(|k| {
                 (
@@ -654,43 +656,40 @@ mod tests {
                 )
             });
             let i = ctx.wait_any(&[a, b]);
-            w.store(i, Ordering::SeqCst);
+            w.set(i);
         });
-        assert_eq!(winner.load(Ordering::SeqCst), 1);
+        assert_eq!(winner.get(), 1);
     }
 
     #[test]
     fn wait_all_waits_for_latest() {
         let mut sim = Sim::new();
-        let t = Arc::new(AtomicUsize::new(0));
-        let t2 = Arc::clone(&t);
+        let t = Rc::new(Cell::new(0));
+        let t2 = Rc::clone(&t);
         sim.run(1, move |ctx| {
             let cs: Vec<_> = (1..=5)
                 .map(|i| ctx.with_kernel(|k| k.completion_in(SimDuration::from_micros(i * 10))))
                 .collect();
             ctx.wait_all(&cs);
-            t2.store(ctx.now().picos() as usize, Ordering::SeqCst);
+            t2.set(ctx.now().picos() as usize);
         });
-        assert_eq!(
-            t.load(Ordering::SeqCst) as u64,
-            SimDuration::from_micros(50).picos()
-        );
+        assert_eq!(t.get() as u64, SimDuration::from_micros(50).picos());
     }
 
     #[test]
     fn determinism_many_threads() {
         let run_once = || {
             let mut sim = Sim::new();
-            let log: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(vec![]));
-            let l = Arc::clone(&log);
+            let log: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(vec![]));
+            let l = Rc::clone(&log);
             sim.run(16, move |ctx| {
                 for round in 0..20u64 {
                     let d = SimDuration::from_nanos(((ctx.tid() as u64 * 7 + round * 13) % 29) + 1);
                     ctx.delay(d);
                 }
-                l.lock().push((ctx.tid(), ctx.now().picos()));
+                l.borrow_mut().push((ctx.tid(), ctx.now().picos()));
             });
-            let v = log.lock().clone();
+            let v = log.borrow().clone();
             v
         };
         let a = run_once();
@@ -736,17 +735,50 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "already mutably borrowed")]
+    fn kernel_reentry_panics_out_of_run() {
+        // A rank touching the kernel from inside `with_kernel` must be a
+        // borrow panic that `run` reports through poison teardown, not a
+        // hang of the one OS thread.
+        let mut sim = Sim::new();
+        sim.run(2, |ctx| {
+            ctx.delay(SimDuration::from_micros(1));
+            ctx.with_kernel(|_| ctx.now());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn borrow_held_across_wait_panics_out_of_run() {
+        // Rank 0 holds a borrow of shared rank state across a blocking
+        // point; rank 1 then needs the same state. The borrow panic is
+        // reported out of `run` instead of hanging the world.
+        let mut sim = Sim::new();
+        let state = Rc::new(RefCell::new(0u32));
+        let s = Rc::clone(&state);
+        sim.run(2, move |ctx| {
+            if ctx.tid() == 0 {
+                let _held = s.borrow_mut();
+                ctx.delay(SimDuration::from_micros(10));
+            } else {
+                ctx.delay(SimDuration::from_micros(1));
+                *s.borrow_mut() += 1;
+            }
+        });
+    }
+
+    #[test]
     fn yield_now_lets_peers_run() {
         let mut sim = Sim::new();
-        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(vec![]));
-        let l = Arc::clone(&log);
+        let log: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(vec![]));
+        let l = Rc::clone(&log);
         sim.run(2, move |ctx| {
             for _ in 0..3 {
-                l.lock().push(ctx.tid());
+                l.borrow_mut().push(ctx.tid());
                 ctx.yield_now();
             }
         });
-        let v = log.lock().clone();
+        let v = log.borrow().clone();
         assert_eq!(v, vec![0, 1, 0, 1, 0, 1]);
     }
 
@@ -755,11 +787,11 @@ mod tests {
         // Poison teardown must unwind every not-yet-started fiber without
         // running its program.
         let mut sim = Sim::new();
-        let started = Arc::new(AtomicUsize::new(0));
-        let s = Arc::clone(&started);
+        let started = Rc::new(Cell::new(0));
+        let s = Rc::clone(&started);
         let r = panic::catch_unwind(AssertUnwindSafe(|| {
             sim.run(100, move |ctx| {
-                s.fetch_add(1, Ordering::SeqCst);
+                s.set(s.get() + 1);
                 if ctx.tid() == 0 {
                     panic!("early");
                 }
@@ -768,7 +800,7 @@ mod tests {
         }));
         assert!(r.is_err());
         // Rank 0 panicked before anyone else got the token.
-        assert_eq!(started.load(Ordering::SeqCst), 1);
+        assert_eq!(started.get(), 1);
     }
 
     #[test]
@@ -784,12 +816,12 @@ mod tests {
         }
         let mut sim = Sim::new();
         sim.stack_size(4 * 1024 * 1024);
-        let out = Arc::new(AtomicUsize::new(0));
-        let o = Arc::clone(&out);
+        let out = Rc::new(Cell::new(0));
+        let o = Rc::clone(&out);
         sim.run(1, move |ctx| {
             ctx.delay(SimDuration::from_nanos(1));
-            o.store(burn(2000), Ordering::SeqCst);
+            o.set(burn(2000));
         });
-        assert_eq!(out.load(Ordering::SeqCst), 2000 * 256);
+        assert_eq!(out.get(), 2000 * 256);
     }
 }

@@ -6,8 +6,8 @@
 //! the same inputs.
 
 use detsim::{Kernel, SimDuration};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Deterministic xorshift for workload generation.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -135,17 +135,17 @@ fn prop_equal_flows_finish_together() {
         let n = 2 + (r() % 10) as usize;
         let mut k = Kernel::new();
         let l = k.add_link("l", 2e9, SimDuration::from_micros(1));
-        let ends: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        let ends: Vec<Rc<Cell<u64>>> = (0..n).map(|_| Rc::new(Cell::new(0))).collect();
         for e in &ends {
-            let e = Arc::clone(e);
+            let e = Rc::clone(e);
             k.start_flow(&[l], bytes, move |k| {
-                e.store(k.now().picos(), Ordering::SeqCst);
+                e.set(k.now().picos());
             });
         }
         k.run_to_completion();
-        let first = ends[0].load(Ordering::SeqCst);
+        let first = ends[0].get();
         for e in &ends {
-            let v = e.load(Ordering::SeqCst);
+            let v = e.get();
             assert!(v > 0, "case {case}");
             // picosecond rounding can separate them by a hair
             assert!(v.abs_diff(first) <= n as u64, "case {case}");
@@ -170,10 +170,10 @@ fn prop_contention_is_monotone() {
             let mut r = rng(seed);
             let mut k = Kernel::new();
             let l = k.add_link("l", 1e9, SimDuration::ZERO);
-            let probe_end = Arc::new(AtomicU64::new(0));
-            let pe = Arc::clone(&probe_end);
+            let probe_end = Rc::new(Cell::new(0));
+            let pe = Rc::clone(&probe_end);
             k.start_flow(&[l], 2_000_000, move |k| {
-                pe.store(k.now().picos(), Ordering::SeqCst);
+                pe.set(k.now().picos());
             });
             for _ in 0..extra {
                 let bytes = 1 + r() % 1_000_000;
@@ -181,7 +181,7 @@ fn prop_contention_is_monotone() {
                 k.schedule_in(at, move |k| k.start_flow(&[l], bytes, |_| {}));
             }
             k.run_to_completion();
-            probe_end.load(Ordering::SeqCst)
+            probe_end.get()
         };
         let alone = run(0);
         let loaded = run(extra);
@@ -204,22 +204,21 @@ fn prop_flow_schedule_deterministic() {
             k.metrics.enable();
             let a = k.add_link("a", 3e9, SimDuration::from_nanos(500));
             let b = k.add_link("b", 1e9, SimDuration::from_nanos(100));
-            let log: Arc<parking_lot::Mutex<Vec<(u64, u64)>>> =
-                Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
             for i in 0..40u64 {
                 let bytes = 1 + r() % 3_000_000;
                 let at = SimDuration::from_nanos(r() % 2_000_000);
                 let two = r().is_multiple_of(2);
-                let log = Arc::clone(&log);
+                let log = Rc::clone(&log);
                 k.schedule_in(at, move |k| {
                     let path: Vec<_> = if two { vec![a, b] } else { vec![b] };
                     k.start_flow(&path, bytes, move |k| {
-                        log.lock().push((i, k.now().picos()));
+                        log.borrow_mut().push((i, k.now().picos()));
                     });
                 });
             }
             k.run_to_completion();
-            let v = log.lock().clone();
+            let v = log.borrow().clone();
             (v, k.metrics.report().to_json())
         };
         let (sched1, json1) = run();

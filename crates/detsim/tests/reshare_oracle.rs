@@ -18,10 +18,10 @@
 //! * per-link delivered bytes, exactly (integer accounting).
 //! * completion count and an empty network at the end.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use detsim::{Kernel, LinkId, SimDuration, PS_PER_SEC};
-use parking_lot::Mutex;
 
 /// Tolerance on completion-time agreement, in picoseconds.
 const TOL_PS: i64 = 5_000; // 5 ns; transfers here run for ~0.1-1 ms
@@ -143,14 +143,14 @@ fn run_kernel(
             )
         })
         .collect();
-    let done: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let done: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(Vec::new()));
     for (idx, f) in flows.iter().enumerate() {
         let path: Vec<LinkId> = f.path.iter().map(|&l| ids[l]).collect();
         let bytes = f.bytes;
-        let done = Arc::clone(&done);
+        let done = Rc::clone(&done);
         k.schedule_in(SimDuration::from_picos(f.start_ps), move |k| {
             k.start_flow(&path, bytes, move |k| {
-                done.lock().push((idx, k.now().picos()));
+                done.borrow_mut().push((idx, k.now().picos()));
             });
         });
     }
@@ -164,7 +164,7 @@ fn run_kernel(
     k.run_to_completion();
     assert_eq!(k.active_flows(), 0, "flows left in the network");
     let mut times = vec![0u64; flows.len()];
-    let finished = done.lock();
+    let finished = done.borrow();
     assert_eq!(finished.len(), flows.len(), "not every flow completed");
     for &(idx, t) in finished.iter() {
         times[idx] = t;

@@ -1,11 +1,11 @@
 //! The simulated multi-GPU machine: device registry, memory allocation,
 //! streams, and peer-access management.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use detsim::{FifoId, Kernel, LinkId, SimCtx};
-use parking_lot::Mutex;
 use topo::{ClusterSpec, Fabric, NodeDiscovery};
 
 use crate::buffer::{Buffer, Placement};
@@ -27,12 +27,12 @@ struct DeviceState {
     /// Flow link modeling the device's kernel/memory engine: concurrent
     /// kernels share its (pack) bandwidth.
     engine: LinkId,
-    allocated: Mutex<u64>,
+    allocated: Cell<u64>,
     /// Runtime override of [`GpuCostModel::device_mem_limit`] for this
     /// device — the fault-injection hook for mid-run memory shrink (a
     /// device "coming back sick" with less usable HBM). `None` means the
     /// configured limit applies.
-    mem_limit: Mutex<Option<u64>>,
+    mem_limit: Cell<Option<u64>>,
 }
 
 pub(crate) struct MachineInner {
@@ -41,18 +41,19 @@ pub(crate) struct MachineInner {
     pub cfg: GpuCostModel,
     pub mode: DataMode,
     devices: Vec<DeviceState>,
-    pub(crate) streams: Mutex<Vec<StreamInfo>>,
+    pub(crate) streams: RefCell<Vec<StreamInfo>>,
     /// Stream-registry indices per device (default stream first), so
     /// per-device lookups don't scan the whole registry.
-    streams_by_device: Mutex<Vec<Vec<usize>>>,
-    peer_enabled: Mutex<HashSet<(usize, usize)>>,
+    streams_by_device: RefCell<Vec<Vec<usize>>>,
+    peer_enabled: RefCell<HashSet<(usize, usize)>>,
 }
 
 /// The simulated machine: a cluster of multi-GPU nodes with CUDA-like
-/// semantics. Cheaply cloneable handle; share it across simulated ranks.
+/// semantics. Cheaply cloneable handle; share it across the ranks of one
+/// world.
 #[derive(Clone)]
 pub struct GpuMachine {
-    pub(crate) inner: Arc<MachineInner>,
+    pub(crate) inner: Rc<MachineInner>,
 }
 
 impl GpuMachine {
@@ -79,8 +80,8 @@ impl GpuMachine {
                 );
                 devices.push(DeviceState {
                     engine,
-                    allocated: Mutex::new(0),
-                    mem_limit: Mutex::new(None),
+                    allocated: Cell::new(0),
+                    mem_limit: Cell::new(None),
                 });
                 // Default stream: registry slot == global device id.
                 let fifo = kernel.add_fifo(format!("n{node}.g{g}.s0"), 1);
@@ -94,15 +95,15 @@ impl GpuMachine {
             }
         }
         GpuMachine {
-            inner: Arc::new(MachineInner {
+            inner: Rc::new(MachineInner {
                 fabric,
                 discovery,
                 cfg,
                 mode,
                 devices,
-                streams: Mutex::new(streams),
-                streams_by_device: Mutex::new(streams_by_device),
-                peer_enabled: Mutex::new(HashSet::new()),
+                streams: RefCell::new(streams),
+                streams_by_device: RefCell::new(streams_by_device),
+                peer_enabled: RefCell::new(HashSet::new()),
             }),
         }
     }
@@ -193,16 +194,17 @@ impl GpuMachine {
     /// initialization outside the timed region).
     pub fn alloc_device_untimed(&self, device: usize, len: u64) -> Result<Buffer, GpuError> {
         let limit = self.device_mem_limit(device);
-        let mut used = self.inner.devices[device].allocated.lock();
-        if *used + len > limit {
+        let allocated = &self.inner.devices[device].allocated;
+        let used = allocated.get();
+        if used + len > limit {
             return Err(GpuError::OutOfMemory {
                 device,
                 requested: len,
-                in_use: *used,
+                in_use: used,
                 limit,
             });
         }
-        *used += len;
+        allocated.set(used + len);
         Ok(Buffer::new(
             Placement::Device(device),
             len,
@@ -214,14 +216,14 @@ impl GpuMachine {
     /// last handle drops.)
     pub fn free_device(&self, buf: &Buffer) {
         if let Placement::Device(d) = buf.placement {
-            let mut used = self.inner.devices[d].allocated.lock();
-            *used = used.saturating_sub(buf.len);
+            let allocated = &self.inner.devices[d].allocated;
+            allocated.set(allocated.get().saturating_sub(buf.len));
         }
     }
 
     /// Device memory currently allocated on `device`.
     pub fn device_mem_used(&self, device: usize) -> u64 {
-        *self.inner.devices[device].allocated.lock()
+        self.inner.devices[device].allocated.get()
     }
 
     /// Effective memory limit of `device`: the runtime override if one is
@@ -229,7 +231,7 @@ impl GpuMachine {
     pub fn device_mem_limit(&self, device: usize) -> u64 {
         self.inner.devices[device]
             .mem_limit
-            .lock()
+            .get()
             .unwrap_or(self.inner.cfg.device_mem_limit)
     }
 
@@ -240,7 +242,7 @@ impl GpuMachine {
     /// that fenced off bad pages. The override is absolute, so repeated
     /// shrinks do not compound.
     pub fn set_device_mem_limit(&self, device: usize, limit: Option<u64>) {
-        *self.inner.devices[device].mem_limit.lock() = limit;
+        self.inner.devices[device].mem_limit.set(limit);
     }
 
     /// Allocate pinned host memory on the socket nearest to `device`
@@ -276,8 +278,8 @@ impl GpuMachine {
 
     /// Create a new stream on `device`.
     pub fn create_stream(&self, k: &mut Kernel, device: usize) -> Stream {
-        let mut streams = self.inner.streams.lock();
-        let mut by_dev = self.inner.streams_by_device.lock();
+        let mut streams = self.inner.streams.borrow_mut();
+        let mut by_dev = self.inner.streams_by_device.borrow_mut();
         let idx = streams.len();
         let node = self.node_of(device);
         let local = self.local_of(device);
@@ -297,23 +299,23 @@ impl GpuMachine {
 
     /// Device owning a stream.
     pub fn stream_device(&self, s: Stream) -> usize {
-        self.inner.streams.lock()[s.0].device
+        self.inner.streams.borrow()[s.0].device
     }
 
     /// The FIFO resource backing a stream (used by the simulated MPI's
     /// CUDA-aware transport to model default-stream serialization).
     pub fn stream_fifo(&self, s: Stream) -> FifoId {
-        self.inner.streams.lock()[s.0].fifo
+        self.inner.streams.borrow()[s.0].fifo
     }
 
     /// The trace track of a stream.
     pub fn stream_track(&self, s: Stream) -> detsim::trace::TrackId {
-        self.inner.streams.lock()[s.0].track
+        self.inner.streams.borrow()[s.0].track
     }
 
     /// All streams currently on `device` (default first).
     pub fn device_streams(&self, device: usize) -> Vec<Stream> {
-        self.inner.streams_by_device.lock()[device]
+        self.inner.streams_by_device.borrow()[device]
             .iter()
             .map(|&i| Stream(i))
             .collect()
@@ -338,7 +340,7 @@ impl GpuMachine {
         if !self.can_access_peer(a, b) {
             return Err(GpuError::PeerAccessUnavailable { a, b });
         }
-        let mut set = self.inner.peer_enabled.lock();
+        let mut set = self.inner.peer_enabled.borrow_mut();
         set.insert((a, b));
         set.insert((b, a));
         Ok(())
@@ -346,7 +348,7 @@ impl GpuMachine {
 
     /// Whether peer access has been enabled for a pair.
     pub fn peer_enabled(&self, a: usize, b: usize) -> bool {
-        a == b || self.inner.peer_enabled.lock().contains(&(a, b))
+        a == b || self.inner.peer_enabled.borrow().contains(&(a, b))
     }
 }
 

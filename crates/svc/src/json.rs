@@ -87,11 +87,12 @@ impl Json {
 /// spec. Documents the service writes nest only a few levels.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parse a complete JSON document. Returns `Err` with a short position-
-/// annotated message on malformed input, nesting deeper than
-/// [`MAX_DEPTH`], or trailing garbage.
+/// Parse a complete JSON document in one pass. Returns `Err` with a short
+/// position-annotated message on malformed input, a duplicate object key,
+/// nesting deeper than [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -106,6 +107,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -184,7 +186,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| format!("bad number '{text}' at byte {start}"))?;
@@ -235,13 +237,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice. Both are ASCII, so the run ends on a char
+                    // boundary and multi-byte scalars pass through whole.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -280,7 +284,11 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return Err(format!("duplicate key {key:?} at byte {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -361,6 +369,25 @@ mod tests {
             parse(&"[".repeat(200_000)).is_err(),
             "rejected, not a stack overflow"
         );
+        assert_eq!(
+            parse(r#"{"radius":2,"radius":5000}"#),
+            Err("duplicate key \"radius\" at byte 12".to_string()),
+            "a duplicate must not silently override"
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // 1 MiB of mixed ASCII, two-byte scalars and escapes must parse in
+        // linear time: the caller's thread waits on it.
+        let body = "tenant é \"q\" \\ \n".repeat(1 << 16);
+        assert!(body.len() >= 1 << 20);
+        let text = quote(&body);
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(parsed.as_str(), Some(body.as_str()));
+        assert!(took.as_secs_f64() < 1.0, "1 MiB string took {took:?}");
     }
 
     #[test]

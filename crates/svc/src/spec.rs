@@ -11,7 +11,7 @@
 //! in `docs/SERVICE.md`.
 
 use faultsim::{FaultSchedule, Scenario};
-use stencil_core::{Methods, PlacementStrategy};
+use stencil_core::{Methods, Partition, PlacementStrategy};
 use topo::presets::{dgx_cluster, fat_cluster, pcie_workstation_cluster};
 use topo::summit::summit_cluster;
 use topo::ClusterSpec;
@@ -476,6 +476,11 @@ impl FaultScenario {
     }
 }
 
+/// Longest spec text [`JobSpec::from_json`] reads. Specs the service
+/// writes are a few hundred bytes; the cap bounds what one request can
+/// make the caller's thread parse.
+pub const MAX_SPEC_BYTES: usize = 64 * 1024;
+
 /// One job: everything needed to build a simulated world from scratch and
 /// measure `iters` halo exchanges on it, plus the scheduling attributes
 /// the service uses (tenant, weight, timeout).
@@ -649,15 +654,27 @@ impl JobSpec {
         if self.domain.contains(&0) {
             return Err("domain extents must be positive".into());
         }
-        let subdomains = (self.cluster.nodes() * gpn) as u64;
         // Checked: a wrapped product would admit an unbuildable domain.
-        let Some(cells) = self.domain.iter().try_fold(1u64, |n, &e| n.checked_mul(e)) else {
+        if self
+            .domain
+            .iter()
+            .try_fold(1u64, |n, &e| n.checked_mul(e))
+            .is_none()
+        {
             return Err(format!("domain {:?} has more than 2^64 cells", self.domain));
-        };
-        if cells < subdomains {
+        }
+        // The world's own decomposition: refuse what it would panic on.
+        let part = Partition::try_new(self.domain, self.cluster.nodes(), gpn)?;
+        if self.radius == 0 {
+            return Err("radius must be >= 1".into());
+        }
+        // A halo can be no wider than the thinnest subdomain it is cut from.
+        let g = part.global_dims();
+        if let Some(a) = (0..3).find(|&a| self.radius > self.domain[a] / g[a] as u64) {
             return Err(format!(
-                "domain {:?} too small for {subdomains} GPU subdomains",
-                self.domain
+                "radius {} exceeds the {}-cell GPU subdomain extent along axis {a}",
+                self.radius,
+                self.domain[a] / g[a] as u64
             ));
         }
         if self.quantities == 0 {
@@ -705,8 +722,15 @@ impl JobSpec {
     }
 
     /// Parse a spec from JSON text (the inverse of [`JobSpec::to_json`];
-    /// optional fields may be omitted).
+    /// optional fields may be omitted). Text longer than
+    /// [`MAX_SPEC_BYTES`] is rejected unread.
     pub fn from_json(text: &str) -> Result<Self, String> {
+        if text.len() > MAX_SPEC_BYTES {
+            return Err(format!(
+                "spec is {} bytes, over the {MAX_SPEC_BYTES}-byte limit",
+                text.len()
+            ));
+        }
         let v = json::parse(text)?;
         Self::from_value(&v)
     }
@@ -743,13 +767,15 @@ impl JobSpec {
                 .and_then(Json::as_str)
                 .ok_or("spec.tenant missing")?
                 .to_string(),
-            weight: u("weight")? as u32,
+            weight: u32::try_from(u("weight")?).map_err(|_| "spec.weight exceeds u32")?,
             cluster: ClusterPreset::from_json(v.get("cluster").ok_or("spec.cluster missing")?)?,
             ranks_per_node: u("ranks_per_node")? as usize,
             domain: [dom(0)?, dom(1)?, dom(2)?],
             radius: u("radius")?,
             quantities: u("quantities")? as usize,
-            methods: Methods::from_bits(u("methods_bits")? as u8)
+            methods: u8::try_from(u("methods_bits")?)
+                .ok()
+                .and_then(Methods::from_bits)
                 .ok_or("spec.methods_bits has unknown bits")?,
             cuda_aware: b("cuda_aware")?,
             consolidate: b("consolidate")?,
@@ -1011,6 +1037,45 @@ mod tests {
         let mut bad = sample();
         bad.domain = [u64::MAX, 3, 1]; // the cell count overflows u64
         assert!(bad.validate().is_err());
+        // Worlds that cannot run: radius 0 "completes" with mean 0, a
+        // radius wider than a 12^3 domain's subdomains asks for a 32 GB
+        // allocation, and 64 cells for 30 subdomains panic in
+        // `Partition::new` because 5 nodes split one 4-cell axis.
+        let mut bad = sample();
+        bad.radius = 0;
+        assert_eq!(bad.validate(), Err("radius must be >= 1".into()));
+        let mut bad = sample();
+        bad.domain = [12, 12, 12];
+        bad.radius = 1000;
+        assert!(bad.validate().unwrap_err().contains("radius 1000 exceeds"));
+        let mut bad = sample();
+        bad.cluster = ClusterPreset::Summit { nodes: 5 };
+        bad.domain = [4, 4, 4];
+        assert_eq!(
+            bad.validate(),
+            Err("domain [4, 4, 4] too small for 5 nodes".into())
+        );
+        // A radius as wide as the thinnest (4-cell) subdomain is fine.
+        let mut ok = sample();
+        ok.domain = [12, 12, 12];
+        ok.radius = 4;
+        assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    fn from_json_rejects_values_it_cannot_hold() {
+        let json = sample().to_json();
+        // Out of range for the field: a cast would truncate each to 1.
+        let wide = json.replace("\"weight\":3", "\"weight\":4294967297");
+        assert!(JobSpec::from_json(&wide).unwrap_err().contains("weight"));
+        let bits = format!("\"methods_bits\":{}", sample().methods.bits());
+        let bits = json.replace(&bits, "\"methods_bits\":257");
+        assert!(JobSpec::from_json(&bits)
+            .unwrap_err()
+            .contains("methods_bits"));
+        let long = "x".repeat(MAX_SPEC_BYTES);
+        let long = json.replace("\"tenant\":\"sweep\"", &format!("\"tenant\":\"{long}\""));
+        assert!(JobSpec::from_json(&long).unwrap_err().contains("limit"));
     }
 
     #[test]

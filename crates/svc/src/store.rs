@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::result::{JobResult, JobStatus};
 
@@ -83,7 +82,9 @@ impl ResultStore {
     /// Append one result as a JSONL line (serialized across threads).
     pub fn append(&self, result: &JobResult) -> std::io::Result<()> {
         let line = result.to_json();
-        let mut f = self.file.lock();
+        // Nothing panics while the guard is held (write errors are
+        // returned), so a poisoned lock still guards a usable file.
+        let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         f.write_all(line.as_bytes())?;
         f.write_all(b"\n")?;
         f.flush()

@@ -6,10 +6,10 @@
 //! cargo run --release -p stencil-examples --bin quickstart
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DomainBuilder, Methods, Neighborhood};
 use stencil_examples::{jacobi_step_work, jacobi_traffic, SerialGrid};
 use topo::summit::summit_cluster;
@@ -21,10 +21,10 @@ fn main() {
     let init = |p: [u64; 3]| ((p[0] * 7 + p[1] * 13 + p[2] * 29) % 101) as f32;
 
     // ---- distributed run: 1 node, 6 ranks, 1 GPU each --------------------
-    let max_err: Arc<Mutex<f32>> = Arc::new(Mutex::new(0.0));
-    let elapsed: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-    let me = Arc::clone(&max_err);
-    let el = Arc::clone(&elapsed);
+    let max_err: Rc<RefCell<f32>> = Rc::new(RefCell::new(0.0));
+    let elapsed: Rc<RefCell<f64>> = Rc::new(RefCell::new(0.0));
+    let me = Rc::clone(&max_err);
+    let el = Rc::clone(&elapsed);
     let world = WorldConfig::new(summit_cluster(1), 6);
     run_world(world, move |ctx| {
         // Build the distributed domain: radius-1 halos, two quantities
@@ -59,7 +59,7 @@ fn main() {
             ctx.barrier();
         }
         if ctx.rank() == 0 {
-            *el.lock() = ctx.wtime() - t0;
+            *el.borrow_mut() = ctx.wtime() - t0;
         }
 
         // ---- verify against the serial reference ------------------------
@@ -83,16 +83,16 @@ fn main() {
                 }
             }
         }
-        let mut m = me.lock();
+        let mut m = me.borrow_mut();
         *m = m.max(worst);
     });
 
     println!("quickstart: {STEPS} Jacobi steps on a {DOMAIN:?} grid over 6 simulated GPUs");
     println!(
         "  virtual time for compute+exchange loop: {:.3} ms",
-        *elapsed.lock() * 1e3
+        *elapsed.borrow() * 1e3
     );
-    let err = *max_err.lock();
+    let err = *max_err.borrow();
     println!("  max |distributed - serial reference|:  {err:e}");
     assert!(
         err == 0.0,

@@ -6,10 +6,10 @@
 //! cargo run --release -p stencil-examples --bin topology_report
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{method, Dir3, DomainBuilder, Methods};
 use topo::summit::{summit_cluster, summit_node};
 use topo::NodeDiscovery;
@@ -95,8 +95,8 @@ fn main() {
     }
 
     // A live plan from a real (small) job: 2 nodes, 2 ranks each.
-    let plans: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let p2 = Arc::clone(&plans);
+    let plans: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    let p2 = Rc::clone(&plans);
     run_world(WorldConfig::new(summit_cluster(2), 2), move |ctx| {
         let dom = DomainBuilder::new([48, 48, 48]).radius(1).build(ctx);
         let mut lines = vec![format!(
@@ -115,10 +115,10 @@ fn main() {
                     .neighbor(l.node_idx, l.gpu_idx, Dir3::new(1, 0, 0))
             ));
         }
-        p2.lock().push(lines.join("\n"));
+        p2.borrow_mut().push(lines.join("\n"));
     });
     println!("\nlive specialized plans for a 48^3 domain on 2 nodes x 2 ranks:");
-    let mut v = plans.lock().clone();
+    let mut v = plans.borrow().clone();
     v.sort();
     for line in v {
         println!("  {line}");

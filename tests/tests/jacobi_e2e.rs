@@ -3,10 +3,10 @@
 //! this exercises every layer (partition, placement, specialization,
 //! exchange driver, simulated CUDA + MPI data planes) at once.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DomainBuilder, Methods, Neighborhood};
 use stencil_examples::{jacobi_step_work, jacobi_traffic, SerialGrid};
 use topo::summit::summit_cluster;
@@ -16,8 +16,8 @@ fn jacobi_case(nodes: usize, rpn: usize, methods: Methods, cuda_aware: bool, ste
     const K: f32 = 0.09;
     let init = |p: [u64; 3]| ((p[0] * 3 + p[1] * 7 + p[2] * 11) % 53) as f32;
 
-    let worst: Arc<Mutex<f32>> = Arc::new(Mutex::new(0.0));
-    let w2 = Arc::clone(&worst);
+    let worst: Rc<RefCell<f32>> = Rc::new(RefCell::new(0.0));
+    let w2 = Rc::clone(&worst);
     let world = WorldConfig::new(summit_cluster(nodes), rpn).cuda_aware(cuda_aware);
     run_world(world, move |ctx| {
         let dom = DomainBuilder::new(DOMAIN)
@@ -68,11 +68,11 @@ fn jacobi_case(nodes: usize, rpn: usize, methods: Methods, cuda_aware: bool, ste
                 }
             }
         }
-        let mut g = w2.lock();
+        let mut g = w2.borrow_mut();
         *g = g.max(local_worst);
     });
     assert_eq!(
-        *worst.lock(),
+        *worst.borrow(),
         0.0,
         "distributed Jacobi diverged from reference"
     );

@@ -1,18 +1,18 @@
 //! Cross-crate integration: memory accounting, trace plumbing, NIC byte
 //! accounting, and failure modes spanning gpusim + mpisim + stencil-core.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use gpusim::GpuCostModel;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DomainBuilder, Methods, Neighborhood, Radius};
 use topo::summit::summit_cluster;
 
 #[test]
 fn domain_build_accounts_device_memory() {
-    let used: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let u2 = Arc::clone(&used);
+    let used: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let u2 = Rc::clone(&used);
     run_world(WorldConfig::new(summit_cluster(1), 6), move |ctx| {
         let dom = DomainBuilder::new([60, 60, 60])
             .radius(2)
@@ -24,9 +24,9 @@ fn domain_build_accounts_device_memory() {
         let arrays: u64 = dom.locals()[0].bytes();
         let total = m.device_mem_used(dev);
         assert!(total >= arrays, "accounting must include the arrays");
-        u2.lock().push(total);
+        u2.borrow_mut().push(total);
     });
-    let v = used.lock();
+    let v = used.borrow();
     assert_eq!(v.len(), 6);
     // symmetric domain -> similar allocation everywhere
     let max = *v.iter().max().unwrap() as f64;
@@ -70,8 +70,8 @@ fn traced_exchange_contains_every_phase() {
 fn nic_bytes_match_plan_summary() {
     // The bytes each node injects must equal the off-node bytes its ranks'
     // plans say they send.
-    let planned: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let p2 = Arc::clone(&planned);
+    let planned: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
+    let p2 = Rc::clone(&planned);
     let world = WorldConfig::new(summit_cluster(2), 6);
     let rep = run_world(world, move |ctx| {
         let dom = DomainBuilder::new([64, 64, 64])
@@ -82,13 +82,13 @@ fn nic_bytes_match_plan_summary() {
         dom.exchange(ctx);
         if ctx.node() == 0 {
             // staged transfers from node 0 ranks are exactly the off-node ones
-            *p2.lock() += dom.plan_summary().bytes(stencil_core::Method::Staged);
+            *p2.borrow_mut() += dom.plan_summary().bytes(stencil_core::Method::Staged);
         }
     });
     let injected: u64 = rep.nic_injected[0];
     assert_eq!(
         injected,
-        *planned.lock(),
+        *planned.borrow(),
         "NIC accounting must match the plan"
     );
 }
@@ -97,8 +97,8 @@ fn nic_bytes_match_plan_summary() {
 fn asymmetric_radius_full_stack() {
     // Radius 0 on some faces: those directions exchange nothing; the rest
     // still work end-to-end.
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(true));
-    let o2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(true));
+    let o2 = Rc::clone(&ok);
     run_world(WorldConfig::new(summit_cluster(1), 6), move |ctx| {
         let dom = DomainBuilder::new([36, 30, 24])
             .radius_faces(Radius::faces(2, 1, 0, 0, 1, 2))
@@ -119,12 +119,12 @@ fn asymmetric_radius_full_stack() {
                 let gx = (o[0] as i64 - dx).rem_euclid(36);
                 let want = (gx as u64 + o[1] + o[2]) as f32;
                 if got != want {
-                    *o2.lock() = false;
+                    *o2.borrow_mut() = false;
                 }
             }
         }
     });
-    assert!(*ok.lock());
+    assert!(*ok.borrow());
 }
 
 #[test]
@@ -156,8 +156,8 @@ fn empirical_placement_measures_and_places() {
     // The measured-bandwidth placement must (a) run the probe protocol
     // collectively without deadlock, (b) produce a placement at least as
     // good as trivial, and (c) keep the exchange numerically correct.
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(true));
-    let o2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(true));
+    let o2 = Rc::clone(&ok);
     run_world(WorldConfig::new(summit_cluster(1), 3), move |ctx| {
         let dom = DomainBuilder::new([144, 146, 70])
             .radius(1)
@@ -179,25 +179,25 @@ fn empirical_placement_measures_and_places() {
             let got = l.get_local_f32(0, [-1, 0, 0]);
             let gx = (o[0] as i64 - 1).rem_euclid(144) as u64;
             if got != (gx * 31 + o[1] * 17 + o[2]) as f32 {
-                *o2.lock() = false;
+                *o2.borrow_mut() = false;
             }
         }
     });
-    assert!(*ok.lock());
+    assert!(*ok.borrow());
 }
 
 #[test]
 fn measured_bandwidths_rank_triads_above_cross_socket() {
     use stencil_core::empirical::{measure_node_bandwidths, DEFAULT_PROBE_BYTES};
-    let out: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Vec<Vec<f64>>>> = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&out);
     run_world(WorldConfig::new(summit_cluster(1), 2), move |ctx| {
         let bw = measure_node_bandwidths(ctx, DEFAULT_PROBE_BYTES);
         if ctx.rank() == 1 {
-            *o2.lock() = bw; // the non-probing rank got it via broadcast
+            *o2.borrow_mut() = bw; // the non-probing rank got it via broadcast
         }
     });
-    let bw = out.lock().clone();
+    let bw = out.borrow().clone();
     assert_eq!(bw.len(), 6);
     // under concurrent all-pairs load, a triad pair must be clearly faster
     // than a cross-socket pair (the X-Bus divides among all 9 cross pairs)
@@ -219,17 +219,17 @@ fn measured_bandwidths_rank_triads_above_cross_socket() {
 #[test]
 fn exchange_timing_breakdown_is_consistent() {
     use stencil_core::Method;
-    let out: Arc<Mutex<Option<stencil_core::ExchangeTiming>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<stencil_core::ExchangeTiming>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     run_world(WorldConfig::new(summit_cluster(2), 6), move |ctx| {
         let dom = DomainBuilder::new([64, 64, 64]).radius(1).build(ctx);
         ctx.barrier();
         let t = dom.exchange(ctx);
         if ctx.rank() == 0 {
-            *o2.lock() = Some(t);
+            *o2.borrow_mut() = Some(t);
         }
     });
-    let t = out.lock().clone().unwrap();
+    let t = out.borrow().clone().unwrap();
     assert!(t.total.picos() > 0);
     // all plan methods appear, none exceeds the total
     for m in [Method::ColocatedMemcpy, Method::Staged] {
@@ -249,16 +249,16 @@ fn library_adapts_to_dgx_topology() {
     // observed for uniform nodes) but the full exchange still works and
     // peer transfers dominate.
     use stencil_core::Method;
-    let plan: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    let p2 = Arc::clone(&plan);
-    let o2 = Arc::clone(&ok);
+    let plan: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let p2 = Rc::clone(&plan);
+    let o2 = Rc::clone(&ok);
     run_world(
         WorldConfig::new(topo::presets::dgx_cluster(1), 1),
         move |ctx| {
             let dom = DomainBuilder::new([32, 32, 16]).radius(1).build(ctx);
             assert_eq!(dom.partition().gpus_per_node(), 8);
-            *p2.lock() = dom.plan_summary().to_string();
+            *p2.borrow_mut() = dom.plan_summary().to_string();
             assert!(dom.plan_summary().count(Method::PeerMemcpy) > 0);
             for l in dom.locals() {
                 l.fill(0, |p| (p[0] + 100 * p[1] + 10_000 * p[2]) as f32);
@@ -270,18 +270,18 @@ fn library_adapts_to_dgx_topology() {
             let o = l.interior.origin;
             let got = l.get_local_f32(0, [-1, 0, 0]);
             let gx = (o[0] as i64 - 1).rem_euclid(32) as u64;
-            *o2.lock() = got == (gx + 100 * o[1] + 10_000 * o[2]) as f32;
+            *o2.borrow_mut() = got == (gx + 100 * o[1] + 10_000 * o[2]) as f32;
         },
     );
-    assert!(*ok.lock(), "plan: {}", plan.lock());
+    assert!(*ok.borrow(), "plan: {}", plan.borrow_mut());
 }
 
 #[test]
 fn library_adapts_to_pcie_workstation() {
     // 4 GPUs with host-bridge-only P2P: peer access still "works" (SYS
     // class) but every path crosses the single PCIe bus; correctness holds.
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    let o2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let o2 = Rc::clone(&ok);
     run_world(
         WorldConfig::new(topo::presets::pcie_workstation_cluster(4), 1),
         move |ctx| {
@@ -297,10 +297,10 @@ fn library_adapts_to_pcie_workstation() {
             let o = l.interior.origin;
             let got = l.get_local_f32(0, [-1, 0, 0]);
             let gx = (o[0] as i64 - 1).rem_euclid(24) as u64;
-            *o2.lock() = got == (gx * 7 + o[1] * 3 + o[2]) as f32;
+            *o2.borrow_mut() = got == (gx * 7 + o[1] * 3 + o[2]) as f32;
         },
     );
-    assert!(*ok.lock());
+    assert!(*ok.borrow());
 }
 
 #[test]
