@@ -1,36 +1,31 @@
 //! mapperf — wall-clock solve time vs. mapping quality for the placement
-//! ladder (ROADMAP item 1, `docs/PLACEMENT.md`).
+//! ladder (`docs/PLACEMENT.md`).
 //!
-//! Two sweeps, both measuring the **solver itself** (pure compute, no
-//! simulation):
-//!
-//! * `node/*` — per-node QAP placement across GPUs-per-node (6 = Summit's
-//!   exhaustive regime, up to 64 = the fat-node ceiling the heuristic
-//!   rungs exist for). Reports solve time and cost ratio vs. exhaustive
-//!   where feasible (n ≤ 8), vs. the trivial identity placement otherwise.
-//! * `global/*` — the topology-aware global mapping stage
-//!   (`stencil_core::map_nodes`): multilevel solve of the node flow graph
-//!   against a tapered Summit-style switch hierarchy, across node counts
-//!   up to the full 4608-node machine.
+//! One sweep, `node/*`, measuring the **solver itself** (pure compute, no
+//! simulation): per-node QAP placement across GPUs-per-node (6 = Summit's
+//! exhaustive regime, up to 64 = the fat-node ceiling the heuristic rungs
+//! exist for). Reports solve time and cost ratio vs. exhaustive where
+//! feasible (n ≤ 8), vs. the trivial identity placement otherwise.
 //!
 //! Flags:
 //! * `--quick`      small shapes, one sample each (CI smoke).
 //! * `--json PATH`  write results (with quality columns) as JSON.
 //! * `--validate`   run the acceptance pins and exit non-zero on failure:
-//!   64-GPU node solve < 50 ms, 4608-node global mapping < 5 s, and
-//!   hierarchical cost within 1.05× of exhaustive on all n ≤ 8 instances.
+//!   64-GPU node solve < 50 ms, and hierarchical cost within 1.05× of
+//!   exhaustive on all n ≤ 8 instances.
 //!
-//! `BENCH_pr7.json` at the repo root is this suite's committed artifact.
+//! `BENCH_pr7.json` at the repo root is this suite's historical artifact;
+//! its `global/*` rows come from a global mapping stage since removed.
 
 use std::time::Instant;
 
 use stencil_bench::microbench::{Bench, Summary};
 use stencil_bench::weak_scaling_extent;
 use stencil_core::dim3::Boundary;
-use stencil_core::placement::{flow_matrix_bc, node_flow_graph};
-use stencil_core::{multilevel, qap, Neighborhood, Partition, PlacementStrategy, Radius};
+use stencil_core::placement::flow_matrix_bc;
+use stencil_core::{qap, Neighborhood, Partition, PlacementStrategy, Radius};
 use topo::presets::fat_node;
-use topo::{NodeDiscovery, SwitchHierarchy};
+use topo::NodeDiscovery;
 
 /// The fat-node preset for a GPUs-per-node point of the sweep.
 fn node_preset(gpn: usize) -> (usize, usize, usize) {
@@ -93,46 +88,8 @@ fn node_sweep_row(b: &mut Bench, gpn: usize) -> NodeRow {
     }
 }
 
-/// Build the global mapping instance: node flow graph of a weak-scaled
-/// partition plus the tapered switch hierarchy.
-fn global_instance(nodes: usize) -> (multilevel::FlowGraph, SwitchHierarchy) {
-    let extent = weak_scaling_extent(750, nodes * 6);
-    let part = Partition::new([extent, extent, extent], nodes, 6);
-    let flow = node_flow_graph(
-        &part,
-        Neighborhood::Full26,
-        &Radius::constant(2),
-        4,
-        4,
-        Boundary::Periodic,
-    );
-    (flow, SwitchHierarchy::summit_fat_tree(nodes))
-}
-
-struct GlobalRow {
-    summary: Summary,
-    /// `mapped cost / identity cost` (≤ 1.0; lower is better). Identity is
-    /// the blind recursive-bisection order the mapping stage replaces.
-    vs_identity: f64,
-}
-
-fn global_sweep_row(b: &mut Bench, nodes: usize) -> GlobalRow {
-    let (flow, hier) = global_instance(nodes);
-    let summary = b.run_summary(&format!("map/{nodes}n"), || {
-        let _ = multilevel::solve_sparse(&flow, &hier);
-    });
-    let f = multilevel::solve_sparse(&flow, &hier);
-    let mapped = flow.cost(&hier, &f);
-    let identity: Vec<usize> = (0..flow.len()).collect();
-    let id_cost = flow.cost(&hier, &identity);
-    GlobalRow {
-        summary,
-        vs_identity: mapped / id_cost,
-    }
-}
-
-/// Acceptance pins (ISSUE 7): exit non-zero if the ladder misses its
-/// latency or quality bounds.
+/// Acceptance pins: exit non-zero if the ladder misses its latency or
+/// quality bounds.
 fn validate() -> bool {
     let mut ok = true;
     let mut check = |name: &str, pass: bool, detail: String| {
@@ -194,22 +151,6 @@ fn validate() -> bool {
         format!("{:.1} ms (bound 50 ms)", best * 1e3),
     );
 
-    // 3. Full-machine (4608-node) global mapping under 5 s.
-    let (flow, hier) = global_instance(4608);
-    let t = Instant::now();
-    let f = multilevel::solve_sparse(&flow, &hier);
-    let elapsed = t.elapsed().as_secs_f64();
-    let mapped = flow.cost(&hier, &f);
-    let identity: Vec<usize> = (0..flow.len()).collect();
-    let id_cost = flow.cost(&hier, &identity);
-    check(
-        "4608-node global mapping",
-        elapsed < 5.0 && mapped <= id_cost * (1.0 + 1e-9),
-        format!(
-            "{elapsed:.2} s (bound 5 s), cost {:.3}x identity",
-            mapped / id_cost
-        ),
-    );
     ok
 }
 
@@ -251,23 +192,13 @@ fn parse_args() -> Args {
     args
 }
 
-fn write_json(path: &str, quick: bool, nodes: &[NodeRow], globals: &[GlobalRow]) {
+fn write_json(path: &str, quick: bool, nodes: &[NodeRow]) {
     let mut s = String::new();
     s.push_str("{\n  \"suite\": \"mapperf\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"unit\": \"seconds (wall clock); cost ratios dimensionless\",\n");
     s.push_str("  \"benches\": [\n");
-    let total = nodes.len() + globals.len();
-    let mut k = 0;
-    let mut push = |s: &mut String, entry: String| {
-        k += 1;
-        s.push_str(&entry);
-        if k < total {
-            s.push(',');
-        }
-        s.push('\n');
-    };
-    for r in nodes {
+    for (k, r) in nodes.iter().enumerate() {
         let mut e = format!(
             "    {{\"name\": \"{}\", \"samples\": {}, \"mean_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}, \"cost_vs_trivial\": {:.4}",
             r.summary.name, r.summary.samples, r.summary.mean_s, r.summary.min_s, r.summary.max_s, r.vs_trivial
@@ -276,14 +207,11 @@ fn write_json(path: &str, quick: bool, nodes: &[NodeRow], globals: &[GlobalRow])
             e.push_str(&format!(", \"cost_vs_exhaustive\": {v:.4}"));
         }
         e.push('}');
-        push(&mut s, e);
-    }
-    for r in globals {
-        let e = format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"mean_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}, \"cost_vs_identity\": {:.4}}}",
-            r.summary.name, r.summary.samples, r.summary.mean_s, r.summary.min_s, r.summary.max_s, r.vs_identity
-        );
-        push(&mut s, e);
+        if k + 1 < nodes.len() {
+            e.push(',');
+        }
+        s.push_str(&e);
+        s.push('\n');
     }
     s.push_str("  ]\n}\n");
     std::fs::write(path, s).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -317,24 +245,8 @@ fn main() {
         node_rows.push(row);
     }
 
-    println!("\nglobal sweep (nodes; multilevel vs. switch hierarchy):");
-    let mut b = Bench::new("global");
-    b.sample_size(1);
-    b.warmup(false);
-    let counts: &[usize] = if quick {
-        &[64, 256]
-    } else {
-        &[256, 1024, 4608]
-    };
-    let mut global_rows = Vec::new();
-    for &nodes in counts {
-        let row = global_sweep_row(&mut b, nodes);
-        println!("    -> cost {:.4}x identity", row.vs_identity);
-        global_rows.push(row);
-    }
-
     if let Some(path) = &args.json {
-        write_json(path, quick, &node_rows, &global_rows);
+        write_json(path, quick, &node_rows);
     }
 
     if args.validate {

@@ -88,10 +88,9 @@ pub use domain::{DistributedDomain, DomainBuilder, DomainSpec};
 pub use exchange::{ExchangeHandle, ExchangeTiming};
 pub use local::LocalDomain;
 pub use method::{select, Method, Methods, PairCaps};
-pub use multilevel::{DenseDistance, DistanceOracle, FlowGraph};
 pub use overlap::StepTiming;
 pub use partition::Partition;
-pub use placement::{map_nodes, node_flow_graph, Placement, PlacementStrategy};
+pub use placement::{Placement, PlacementStrategy};
 pub use radius::Radius;
 pub use resilience::{
     resolve_node_placements, AdaptOutcome, AdaptPolicy, AdaptScope, Health, HealthMonitor,

@@ -1,11 +1,10 @@
 //! Hierarchical multilevel QAP mapper — the top rung of the placement
-//! ladder (ROADMAP item 1, after Schulz & Woydt's shared-memory
-//! hierarchical process mapping).
+//! ladder, after Schulz & Woydt's shared-memory hierarchical process
+//! mapping.
 //!
-//! The dense solvers in [`crate::qap`] stop being practical somewhere
-//! around a few hundred facilities: full 2-opt is O(n²) candidate swaps
-//! per sweep and a dense distance matrix for a 4608-node machine is
-//! 4608² floats (~170 MB). This module scales past both limits:
+//! Full 2-opt over a dense instance is O(n²) candidate swaps per sweep,
+//! which stops being practical on nodes with hundreds of GPUs. This
+//! module scales past that limit:
 //!
 //! 1. **Coarsen** the flow graph by heavy-edge matching (merge the pair
 //!    exchanging the most bytes), and the location set by closest-pair
@@ -13,99 +12,45 @@
 //! 2. **Solve** the coarsest instance (≤ [`qap::EXHAUSTIVE_MAX_N`])
 //!    exhaustively;
 //! 3. **Uncoarsen** level by level, expanding each cluster assignment and
-//!    repairing it with delta-cost 2-opt over a sparse candidate set
-//!    (flow-adjacent pairs + the pairs merged at that level).
+//!    repairing it with delta-cost 2-opt — over all pairs up to
+//!    [`ALL_PAIRS_MAX_N`], over a sparse candidate set (flow-adjacent
+//!    pairs + the pairs merged at that level) beyond it.
 //!
-//! Flow stays sparse throughout ([`FlowGraph`]: a stencil subdomain talks
-//! to ≤ 26 neighbors regardless of machine size), and distances at the
-//! finest level come from a [`DistanceOracle`] — an O(1) switch-hierarchy
-//! computation for global node mapping, never a materialized n² matrix.
-//! Coarse levels are small enough (≤ n/2 per side) that their averaged
-//! distance matrices are materialized dense.
+//! Flow is held as a sparse graph (a stencil subdomain talks to ≤ 26
+//! neighbors regardless of node size); distances are the dense matrix the
+//! caller passes, and each coarse level materializes its own averaged
+//! matrix (≤ n/2 per side). [`solve_multilevel`] is the entry point.
 //!
 //! Everything is deterministic: fixed visit orders, lexicographic
 //! tie-breaks, no RNG. See `docs/PLACEMENT.md` for the invariants.
 
 use crate::qap;
 
-/// Distances between locations, abstracted so the global mapping stage
-/// never materializes an n² matrix. Implementations must be symmetric in
-/// cost intent but may be asymmetric numerically (the solver reads both
-/// directions); `dist(a, a)` must be 0 and entries must be ≥ 0 (`+inf`
-/// for unreachable pairs — never NaN).
-pub trait DistanceOracle {
-    /// Number of locations.
-    fn len(&self) -> usize;
-    /// True when there are no locations.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Distance (reciprocal bandwidth, or hop cost) from `a` to `b`.
-    fn dist(&self, a: usize, b: usize) -> f64;
-}
-
-impl<D: DistanceOracle + ?Sized> DistanceOracle for &D {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn dist(&self, a: usize, b: usize) -> f64 {
-        (**self).dist(a, b)
-    }
-}
-
-/// Dense-matrix oracle over a borrowed distance matrix.
-pub struct DenseDistance<'a>(pub &'a [Vec<f64>]);
-
-impl DistanceOracle for DenseDistance<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn dist(&self, a: usize, b: usize) -> f64 {
-        self.0[a][b]
-    }
-}
-
-impl DistanceOracle for topo::SwitchHierarchy {
-    fn len(&self) -> usize {
-        self.num_nodes()
-    }
-    fn dist(&self, a: usize, b: usize) -> f64 {
-        self.distance(a, b)
-    }
-}
-
 /// Sparse directed flow graph: `adj[i]` holds `(j, w[i][j], w[j][i])` for
 /// every neighbor `j` with traffic in either direction, sorted by `j`.
 /// A 3D stencil facility has at most 26 neighbors however large the
-/// machine, so storage and per-swap work are O(degree), not O(n).
+/// node, so storage and per-swap work are O(degree), not O(n).
 #[derive(Debug, Clone)]
-pub struct FlowGraph {
-    n: usize,
+struct FlowGraph {
     adj: Vec<Vec<(usize, f64, f64)>>,
 }
 
 impl FlowGraph {
     /// Empty graph over `n` facilities.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         FlowGraph {
-            n,
             adj: vec![Vec::new(); n],
         }
     }
 
     /// Number of facilities.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the graph has no facilities.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    fn len(&self) -> usize {
+        self.adj.len()
     }
 
     /// Accumulate directed flow `w` from `i` to `j` (self-flows ignored:
     /// they cost `w * d[x][x] = 0` under any assignment).
-    pub fn add_flow(&mut self, i: usize, j: usize, w: f64) {
+    fn add_flow(&mut self, i: usize, j: usize, w: f64) {
         if i == j || w == 0.0 {
             return;
         }
@@ -120,7 +65,7 @@ impl FlowGraph {
     }
 
     /// Build from a dense flow matrix (diagonal ignored).
-    pub fn from_dense(w: &[Vec<f64>]) -> Self {
+    fn from_dense(w: &[Vec<f64>]) -> Self {
         let mut g = FlowGraph::new(w.len());
         for (i, row) in w.iter().enumerate() {
             for (j, &x) in row.iter().enumerate() {
@@ -131,22 +76,8 @@ impl FlowGraph {
     }
 
     /// Neighbors of `i` as `(j, w[i][j], w[j][i])`, ascending `j`.
-    pub fn neighbors(&self, i: usize) -> &[(usize, f64, f64)] {
+    fn neighbors(&self, i: usize) -> &[(usize, f64, f64)] {
         &self.adj[i]
-    }
-
-    /// Total cost of assignment `f` under `dist`, with the same zero-flow
-    /// guard as [`qap::cost`].
-    pub fn cost(&self, dist: &impl DistanceOracle, f: &[usize]) -> f64 {
-        let mut c = 0.0;
-        for (i, row) in self.adj.iter().enumerate() {
-            for &(j, out, _) in row {
-                if out != 0.0 {
-                    c += out * dist.dist(f[i], f[j]);
-                }
-            }
-        }
-        c
     }
 }
 
@@ -154,13 +85,7 @@ impl FlowGraph {
 /// `r` and `s` — the sparse counterpart of [`qap::delta_swap`], same
 /// zero-flow guards, same NaN semantics (a NaN delta is never an
 /// improvement).
-pub fn delta_swap_sparse(
-    g: &FlowGraph,
-    dist: &impl DistanceOracle,
-    f: &[usize],
-    r: usize,
-    s: usize,
-) -> f64 {
+fn delta_swap_sparse(g: &FlowGraph, dist: &[Vec<f64>], f: &[usize], r: usize, s: usize) -> f64 {
     debug_assert_ne!(r, s);
     let (fr, fs) = (f[r], f[s]);
     let mut delta = 0.0;
@@ -170,10 +95,10 @@ pub fn delta_swap_sparse(
         }
         let fk = f[k];
         if out != 0.0 {
-            delta += out * (dist.dist(fs, fk) - dist.dist(fr, fk));
+            delta += out * (dist[fs][fk] - dist[fr][fk]);
         }
         if inw != 0.0 {
-            delta += inw * (dist.dist(fk, fs) - dist.dist(fk, fr));
+            delta += inw * (dist[fk][fs] - dist[fk][fr]);
         }
     }
     for &(k, out, inw) in g.neighbors(s) {
@@ -182,19 +107,19 @@ pub fn delta_swap_sparse(
         }
         let fk = f[k];
         if out != 0.0 {
-            delta += out * (dist.dist(fr, fk) - dist.dist(fs, fk));
+            delta += out * (dist[fr][fk] - dist[fs][fk]);
         }
         if inw != 0.0 {
-            delta += inw * (dist.dist(fk, fr) - dist.dist(fk, fs));
+            delta += inw * (dist[fk][fr] - dist[fk][fs]);
         }
     }
     if let Ok(p) = g.neighbors(r).binary_search_by_key(&s, |e| e.0) {
         let (_, wrs, wsr) = g.neighbors(r)[p];
         if wrs != 0.0 {
-            delta += wrs * (dist.dist(fs, fr) - dist.dist(fr, fs));
+            delta += wrs * (dist[fs][fr] - dist[fr][fs]);
         }
         if wsr != 0.0 {
-            delta += wsr * (dist.dist(fr, fs) - dist.dist(fs, fr));
+            delta += wsr * (dist[fr][fs] - dist[fs][fr]);
         }
     }
     delta
@@ -205,7 +130,7 @@ pub fn delta_swap_sparse(
 /// hit. Deterministic for a fixed candidate order.
 fn refine_candidates(
     g: &FlowGraph,
-    dist: &impl DistanceOracle,
+    dist: &[Vec<f64>],
     f: &mut [usize],
     candidates: &[(usize, usize)],
     max_passes: usize,
@@ -256,11 +181,11 @@ fn candidate_pairs(g: &FlowGraph, merged: &[(usize, usize)]) -> Vec<(usize, usiz
     c
 }
 
-/// Instances up to this size refine over all O(n²) pairs (and the dense
-/// entry point cross-checks against [`qap::solve_greedy_2opt`], which
-/// makes ladder quality monotone by construction). Beyond it, sweeps are
-/// restricted to the sparse candidate set so global mapping stays
-/// near-linear in machine size.
+/// Instances up to this size refine over all O(n²) pairs (and
+/// [`solve_multilevel`] cross-checks against [`qap::solve_greedy_2opt`],
+/// which makes ladder quality monotone by construction). Beyond it,
+/// sweeps are restricted to the sparse candidate set so nodes with
+/// hundreds of GPUs stay near-linear in sweep work.
 pub const ALL_PAIRS_MAX_N: usize = 128;
 
 /// Refinement sweep cap per level. Sweeps almost always converge in 2–3
@@ -338,7 +263,7 @@ fn match_facilities(g: &FlowGraph) -> Vec<(usize, usize)> {
 /// unmatched location with the nearest unmatched one (ties → smallest
 /// index). Unreachable distances (`+inf`) still compare, so disconnected
 /// locations pair with each other last. `n` must be even.
-fn match_locations(dist: &impl DistanceOracle) -> Vec<(usize, usize)> {
+fn match_locations(dist: &[Vec<f64>]) -> Vec<(usize, usize)> {
     let n = dist.len();
     debug_assert_eq!(n % 2, 0);
     let mut mate = vec![usize::MAX; n];
@@ -348,12 +273,11 @@ fn match_locations(dist: &impl DistanceOracle) -> Vec<(usize, usize)> {
             continue;
         }
         let mut best: Option<(f64, usize)> = None;
-        #[allow(clippy::needless_range_loop)] // `j` also feeds dist.dist(i, j)
         for j in (i + 1)..n {
             if mate[j] != usize::MAX {
                 continue;
             }
-            let d = dist.dist(i, j) + dist.dist(j, i);
+            let d = dist[i][j] + dist[j][i];
             let keep = match best {
                 None => true,
                 Some((bd, _)) => d < bd,
@@ -372,7 +296,7 @@ fn match_locations(dist: &impl DistanceOracle) -> Vec<(usize, usize)> {
 }
 
 /// Build one coarsening level from the fine instance.
-fn coarsen(g: &FlowGraph, dist: &impl DistanceOracle) -> Level {
+fn coarsen(g: &FlowGraph, dist: &[Vec<f64>]) -> Level {
     let fac_clusters = match_facilities(g);
     let loc_clusters = match_locations(dist);
     let nc = fac_clusters.len();
@@ -399,8 +323,8 @@ fn coarsen(g: &FlowGraph, dist: &impl DistanceOracle) -> Level {
             if ca == cb {
                 continue;
             }
-            coarse_dist[ca][cb] = 0.25
-                * (dist.dist(p0, q0) + dist.dist(p0, q1) + dist.dist(p1, q0) + dist.dist(p1, q1));
+            coarse_dist[ca][cb] =
+                0.25 * (dist[p0][q0] + dist[p0][q1] + dist[p1][q0] + dist[p1][q1]);
         }
     }
 
@@ -412,67 +336,47 @@ fn coarsen(g: &FlowGraph, dist: &impl DistanceOracle) -> Level {
     }
 }
 
-/// Oracle for an instance padded with one extra location (index
-/// `base.len()`) at a far-but-finite distance from everything — used to
-/// make odd levels even so all clusters are pairs. Holds the base oracle
-/// as `dyn` so padding can occur at any recursion depth without
-/// monomorphizing an ever-deeper wrapper type.
-struct PaddedDistance<'a> {
-    base: &'a dyn DistanceOracle,
-    far: f64,
-}
-
-impl DistanceOracle for PaddedDistance<'_> {
-    fn len(&self) -> usize {
-        self.base.len() + 1
-    }
-    fn dist(&self, a: usize, b: usize) -> f64 {
-        let n = self.base.len();
-        if a == b {
-            0.0
-        } else if a == n || b == n {
-            self.far
-        } else {
-            self.base.dist(a, b)
+/// `dist` plus one extra location (index `dist.len()`) at a far-but-finite
+/// distance from everything, with a zero diagonal — used to make odd
+/// levels even so all clusters are pairs. The far distance is strictly
+/// larger than every finite entry of `dist`, so refinement always prefers
+/// real locations but never sees `inf - inf`.
+fn pad_distances(dist: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let mut far = 1.0f64;
+    for &d in dist.iter().flatten() {
+        if d.is_finite() && d > far {
+            far = d;
         }
     }
-}
-
-/// A finite distance strictly larger than every finite base distance, so
-/// refinement always prefers real locations but never sees `inf - inf`.
-fn far_distance(dist: &(impl DistanceOracle + ?Sized)) -> f64 {
+    far *= 4.0;
     let n = dist.len();
-    let mut m = 1.0f64;
-    for i in 0..n {
-        for j in 0..n {
-            let d = dist.dist(i, j);
-            if d.is_finite() && d > m {
-                m = d;
-            }
-        }
+    let mut padded: Vec<Vec<f64>> = dist
+        .iter()
+        .map(|row| row.iter().copied().chain([far]).collect())
+        .collect();
+    padded.push(vec![far; n + 1]);
+    for (a, row) in padded.iter_mut().enumerate() {
+        row[a] = 0.0;
     }
-    m * 4.0
+    padded
 }
 
 /// Recursive multilevel solve. Odd levels are padded with a zero-flow
 /// facility and a far-but-finite location (coarse sizes can turn odd at
 /// any depth: 30 → 15). Returns the assignment of facilities to
 /// locations.
-fn solve_rec(g: &FlowGraph, dist: &dyn DistanceOracle, depth: usize) -> Vec<usize> {
+fn solve_rec(g: &FlowGraph, dist: &[Vec<f64>], depth: usize) -> Vec<usize> {
     let n = g.len();
     debug_assert_eq!(dist.len(), n);
     if n <= qap::EXHAUSTIVE_MAX_N {
-        // Densify: trivially cheap at this size.
+        // Densify the flow: trivially cheap at this size.
         let mut w = vec![vec![0.0f64; n]; n];
         for (i, row) in w.iter_mut().enumerate() {
             for &(j, out, _) in g.neighbors(i) {
                 row[j] = out;
             }
         }
-        let d: Vec<Vec<f64>> = (0..n)
-            .map(|a| (0..n).map(|b| dist.dist(a, b)).collect())
-            .collect();
-        return qap::solve_exhaustive(&w, &d).0;
+        return qap::solve_exhaustive(&w, dist).0;
     }
     // Depth guard: every two levels at least halve n (pad adds 1, the
     // matching then halves), so 64 levels covers any usize.
@@ -486,12 +390,7 @@ fn solve_rec(g: &FlowGraph, dist: &dyn DistanceOracle, depth: usize) -> Vec<usiz
         // facility (the dummy location is the farthest by construction).
         let mut padded = g.clone();
         padded.adj.push(Vec::new());
-        padded.n = n + 1;
-        let pdist = PaddedDistance {
-            base: dist,
-            far: far_distance(dist),
-        };
-        let mut f = solve_rec(&padded, &pdist, depth + 1);
+        let mut f = solve_rec(&padded, &pad_distances(dist), depth + 1);
         let dummy_loc = f[n];
         if dummy_loc != n {
             let holder = f.iter().position(|&l| l == n).expect("bijection");
@@ -500,16 +399,12 @@ fn solve_rec(g: &FlowGraph, dist: &dyn DistanceOracle, depth: usize) -> Vec<usiz
         f.truncate(n);
         // One more repair pass on the real instance after the strip.
         let candidates = candidate_pairs(g, &[]);
-        refine_candidates(g, &dist, &mut f, &candidates, MAX_REFINE_PASSES);
+        refine_candidates(g, dist, &mut f, &candidates, MAX_REFINE_PASSES);
         return f;
     }
 
-    let level = coarsen(g, &dist);
-    let coarse_assign = solve_rec(
-        &level.coarse_flow,
-        &DenseDistance(&level.coarse_dist),
-        depth + 1,
-    );
+    let level = coarsen(g, dist);
+    let coarse_assign = solve_rec(&level.coarse_flow, &level.coarse_dist, depth + 1);
 
     // Expand: both members of a facility cluster land on the two members
     // of its assigned location cluster, in index order (the refinement
@@ -523,42 +418,28 @@ fn solve_rec(g: &FlowGraph, dist: &dyn DistanceOracle, depth: usize) -> Vec<usiz
         merged.push((a, b));
     }
     let candidates = candidate_pairs(g, &merged);
-    refine_candidates(g, &dist, &mut f, &candidates, MAX_REFINE_PASSES);
+    refine_candidates(g, dist, &mut f, &candidates, MAX_REFINE_PASSES);
     f
 }
 
-/// Solve a (possibly huge) sparse QAP instance with the multilevel
-/// mapper. Flow is a sparse graph; distances come from the oracle (never
-/// materialized at the finest level). Deterministic. Returns the
-/// assignment `f[facility] = location` — compute its cost with
-/// [`FlowGraph::cost`] if needed.
-///
-/// # Panics
-/// If `flow.len() != dist.len()`.
-pub fn solve_sparse(flow: &FlowGraph, dist: &impl DistanceOracle) -> Vec<usize> {
-    let n = flow.len();
-    assert_eq!(n, dist.len(), "facility and location counts must agree");
-    if n == 0 {
-        return Vec::new();
-    }
-    solve_rec(flow, dist, 0)
-}
-
-/// Dense entry point used by [`qap::solve`]'s top ladder rung: runs the
-/// multilevel mapper and, on instances up to [`ALL_PAIRS_MAX_N`],
+/// The hierarchical rung of the placement ladder (used by [`qap::solve`]
+/// beyond [`qap::EXHAUSTIVE_MAX_N`]): runs the multilevel mapper on the
+/// dense instance `w`, `d` and, on instances up to [`ALL_PAIRS_MAX_N`],
 /// cross-checks against [`qap::solve_greedy_2opt`] and keeps the better
 /// result — which makes the ladder's quality monotone by construction
 /// (hierarchical ≤ greedy ≤ trivial). Instances within
 /// [`qap::EXHAUSTIVE_MAX_N`] are solved exhaustively, so the multilevel
-/// rung matches the exhaustive one exactly there.
+/// rung matches the exhaustive one exactly there. Deterministic.
+///
+/// # Panics
+/// If `d.len() != w.len()`.
 pub fn solve_multilevel(w: &[Vec<f64>], d: &[Vec<f64>]) -> (Vec<usize>, f64) {
     let n = w.len();
     assert_eq!(d.len(), n);
     if n <= qap::EXHAUSTIVE_MAX_N {
         return qap::solve_exhaustive(w, d);
     }
-    let g = FlowGraph::from_dense(w);
-    let f = solve_sparse(&g, &DenseDistance(d));
+    let f = solve_rec(&FlowGraph::from_dense(w), d, 0);
     let c = qap::cost(w, d, &f);
     if n <= ALL_PAIRS_MAX_N {
         qap::better((f, c), qap::solve_greedy_2opt(w, d))
@@ -612,7 +493,14 @@ mod tests {
             let mut f: Vec<usize> = (0..n).collect();
             f.rotate_left(seed as usize % n);
             let dense = qap::cost(&w, &d, &f);
-            let sparse = g.cost(&DenseDistance(&d), &f);
+            let mut sparse = 0.0;
+            for i in 0..n {
+                for &(j, out, _) in g.neighbors(i) {
+                    if out != 0.0 {
+                        sparse += out * d[f[i]][f[j]];
+                    }
+                }
+            }
             assert!((dense - sparse).abs() < 1e-9, "seed {seed}");
         }
     }
@@ -628,7 +516,7 @@ mod tests {
             for r in 0..n {
                 for s in (r + 1)..n {
                     let dd = qap::delta_swap(&w, &d, &f, r, s);
-                    let ds = delta_swap_sparse(&g, &DenseDistance(&d), &f, r, s);
+                    let ds = delta_swap_sparse(&g, &d, &f, r, s);
                     assert!(
                         (dd - ds).abs() < 1e-9 * (1.0 + dd.abs()),
                         "seed {seed} swap ({r},{s}): {dd} vs {ds}"

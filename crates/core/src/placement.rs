@@ -7,10 +7,10 @@
 //! and whose distance matrix is the reciprocal of the discovered
 //! GPU-to-GPU bandwidth.
 
-use topo::{NodeDiscovery, SwitchHierarchy};
+use topo::NodeDiscovery;
 
 use crate::dim3::{Boundary, Idx3, Neighborhood};
-use crate::multilevel::{self, FlowGraph};
+use crate::multilevel;
 use crate::partition::Partition;
 use crate::qap;
 use crate::radius::Radius;
@@ -229,67 +229,6 @@ pub fn place_with_distance(
         subdomain_for_gpu: inverse,
         cost,
     }
-}
-
-/// Pairwise exchange volume in bytes between *nodes*: the sparse flow
-/// graph whose vertex `p` is the node with linear index `p` and whose
-/// edge weights are the total bytes crossing each node boundary per
-/// exchange — the instance the global mapping stage solves. A node talks
-/// to at most 26 neighbors under `Full26`, so the graph is sparse at any
-/// machine size.
-pub fn node_flow_graph(
-    part: &Partition,
-    neighborhood: Neighborhood,
-    radius: &Radius,
-    quantities: usize,
-    elem_size: usize,
-    bc: Boundary,
-) -> FlowGraph {
-    let mut g = FlowGraph::new(part.num_nodes());
-    for (ni, gi) in part.all_subdomains() {
-        let src = part.node_linear(ni);
-        let b = part.gpu_box(ni, gi);
-        for d in neighborhood.directions() {
-            let Some((nn, _)) = part.neighbor_bc(ni, gi, d, bc) else {
-                continue;
-            };
-            if nn == ni {
-                continue; // intra-node flow doesn't inform node mapping
-            }
-            let e = radius.halo_extent(b.extent, d);
-            let bytes = e[0] * e[1] * e[2] * quantities as u64 * elem_size as u64;
-            g.add_flow(src, part.node_linear(nn), bytes as f64);
-        }
-    }
-    g
-}
-
-/// Topology-aware global mapping stage: assign the partition's node
-/// subdomains to physical nodes of a switch hierarchy with the multilevel
-/// mapper, replacing the implicit identity (blind recursive-bisection
-/// order) mapping. Returns `node_for_subdomain[p]` = physical node
-/// hosting the node subdomain with linear index `p`. Deterministic, O(1)
-/// distance queries, no dense n² matrix — practical at full-machine scale
-/// (4608 nodes in seconds; see `mapperf`).
-///
-/// # Panics
-/// If `hierarchy.num_nodes() != part.num_nodes()`.
-pub fn map_nodes(
-    part: &Partition,
-    neighborhood: Neighborhood,
-    radius: &Radius,
-    quantities: usize,
-    elem_size: usize,
-    bc: Boundary,
-    hierarchy: &SwitchHierarchy,
-) -> Vec<usize> {
-    assert_eq!(
-        hierarchy.num_nodes(),
-        part.num_nodes(),
-        "switch hierarchy must cover exactly the partition's nodes"
-    );
-    let flow = node_flow_graph(part, neighborhood, radius, quantities, elem_size, bc);
-    multilevel::solve_sparse(&flow, hierarchy)
 }
 
 #[cfg(test)]

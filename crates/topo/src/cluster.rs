@@ -29,127 +29,6 @@ impl ClusterSpec {
     }
 }
 
-/// A multi-level switch hierarchy over the nodes of a cluster — the
-/// inter-node analogue of [`crate::NodeDiscovery::distance_matrix`], in
-/// O(1) per pair instead of a materialized n² matrix (a 4608-node dense
-/// matrix is ~170 MB; the hierarchy is three integers and three floats).
-///
-/// Nodes are grouped by contiguous index at each level: level `k` groups
-/// `group_size[k]` nodes behind one switch, and the distance between two
-/// nodes is the reciprocal bandwidth of the *lowest* level whose group
-/// contains both. Pairs above the top configured level pay the root
-/// distance. This is the standard fat-tree abstraction used by
-/// hierarchical process mappers (Schulz & Woydt); see `docs/PLACEMENT.md`.
-///
-/// The default [`ClusterSpec`] fabric models the switch as non-blocking
-/// (every placement equal); `SwitchHierarchy` is the tapered model the
-/// *global mapping stage* optimizes against, kept standalone so existing
-/// cluster construction is untouched.
-#[derive(Clone, Debug)]
-pub struct SwitchHierarchy {
-    num_nodes: usize,
-    /// `(group_size, distance)` per level, ascending group size.
-    levels: Vec<(usize, f64)>,
-    /// Distance when two nodes share no configured level.
-    root_distance: f64,
-}
-
-impl SwitchHierarchy {
-    /// Build from `(group_size, bandwidth)` pairs, lowest level first, plus
-    /// the bandwidth of the root (cross-everything) tier. Distances are
-    /// stored as reciprocal bandwidths, matching the QAP convention of the
-    /// node-level distance matrix.
-    ///
-    /// # Panics
-    /// If group sizes are not strictly increasing and ≥ 2, or any
-    /// bandwidth is not finite-positive.
-    pub fn new(num_nodes: usize, levels: &[(usize, f64)], root_bandwidth: f64) -> SwitchHierarchy {
-        let mut prev = 1;
-        for &(size, bw) in levels {
-            assert!(size > prev, "group sizes must be strictly increasing");
-            assert!(
-                bw > 0.0 && bw.is_finite(),
-                "level bandwidth must be positive"
-            );
-            prev = size;
-        }
-        assert!(
-            root_bandwidth > 0.0 && root_bandwidth.is_finite(),
-            "root bandwidth must be positive"
-        );
-        SwitchHierarchy {
-            num_nodes,
-            levels: levels.iter().map(|&(s, bw)| (s, bw.recip())).collect(),
-            root_distance: root_bandwidth.recip(),
-        }
-    }
-
-    /// A Summit-flavored three-tier fat tree: 18 nodes per leaf switch,
-    /// 324 per pod (18 leaves), everything else through the core. The
-    /// real machine's tree is non-blocking; the mild taper here
-    /// (25/20/16 GB/s) is the modeling knob that gives a topology-aware
-    /// mapper something to gain — set all three equal to recover the
-    /// indifferent switch.
-    pub fn summit_fat_tree(num_nodes: usize) -> SwitchHierarchy {
-        SwitchHierarchy::new(num_nodes, &[(18, 25e9), (324, 20e9)], 16e9)
-    }
-
-    /// Number of nodes under the hierarchy.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Distance between nodes `a` and `b`: 0 on the diagonal, otherwise
-    /// the reciprocal bandwidth of the lowest level grouping both. O(1)
-    /// in the number of nodes.
-    pub fn distance(&self, a: usize, b: usize) -> f64 {
-        debug_assert!(a < self.num_nodes && b < self.num_nodes);
-        if a == b {
-            return 0.0;
-        }
-        for &(size, dist) in &self.levels {
-            if a / size == b / size {
-                return dist;
-            }
-        }
-        self.root_distance
-    }
-
-    /// Number of configured levels below the root.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Nodes per group at `level` (0 = leaf switches).
-    pub fn group_size(&self, level: usize) -> usize {
-        self.levels[level].0
-    }
-
-    /// Which level-`level` group (switch) `node` sits under.
-    pub fn group_of(&self, level: usize, node: usize) -> usize {
-        debug_assert!(node < self.num_nodes);
-        node / self.levels[level].0
-    }
-
-    /// The contiguous node range behind switch `group` of `level`, clamped
-    /// to the cluster size — the blast radius of a fault on that switch
-    /// (see `faultsim::FaultTarget::Switch`).
-    pub fn group_nodes(&self, level: usize, group: usize) -> std::ops::Range<usize> {
-        let size = self.levels[level].0;
-        let first = group * size;
-        first..((first + size).min(self.num_nodes))
-    }
-
-    /// Materialize the dense distance matrix — only sensible for small
-    /// node counts (tests, the exhaustive rung); the mapper itself uses
-    /// [`SwitchHierarchy::distance`] directly.
-    pub fn distance_matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.num_nodes)
-            .map(|a| (0..self.num_nodes).map(|b| self.distance(a, b)).collect())
-            .collect()
-    }
-}
-
 /// The instantiated machine: every directed link of every node, plus
 /// injection/ejection links, registered with a [`Kernel`]. Provides directed
 /// link paths for the transfers the upper layers perform.
@@ -445,55 +324,6 @@ mod tests {
             for b in 0..6 {
                 assert!(n.gpus_can_peer(a, b));
             }
-        }
-    }
-
-    #[test]
-    fn switch_hierarchy_levels() {
-        let h = SwitchHierarchy::new(100, &[(4, 100.0), (20, 50.0)], 10.0);
-        assert_eq!(h.num_nodes(), 100);
-        assert_eq!(h.distance(7, 7), 0.0);
-        assert_eq!(h.distance(0, 3), 1.0 / 100.0); // same leaf (0..4)
-        assert_eq!(h.distance(0, 4), 1.0 / 50.0); // same pod (0..20)
-        assert_eq!(h.distance(0, 21), 1.0 / 10.0); // across the root
-        assert_eq!(h.distance(21, 0), h.distance(0, 21), "symmetric");
-    }
-
-    #[test]
-    fn switch_hierarchy_matrix_matches_pointwise() {
-        let h = SwitchHierarchy::summit_fat_tree(40);
-        let m = h.distance_matrix();
-        for (a, row) in m.iter().enumerate() {
-            for (b, &v) in row.iter().enumerate() {
-                assert_eq!(v, h.distance(a, b), "{a}-{b}");
-            }
-        }
-        // taper: same-leaf closer than cross-leaf
-        assert!(h.distance(0, 17) < h.distance(0, 18));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn switch_hierarchy_rejects_unordered_levels() {
-        let _ = SwitchHierarchy::new(10, &[(6, 1.0), (4, 1.0)], 1.0);
-    }
-
-    #[test]
-    fn switch_hierarchy_groups_cover_contiguous_ranges() {
-        let h = SwitchHierarchy::new(100, &[(4, 100.0), (20, 50.0)], 10.0);
-        assert_eq!(h.num_levels(), 2);
-        assert_eq!(h.group_size(0), 4);
-        assert_eq!(h.group_of(0, 7), 1);
-        assert_eq!(h.group_of(1, 7), 0);
-        assert_eq!(h.group_nodes(0, 1), 4..8);
-        assert_eq!(h.group_nodes(1, 4), 80..100);
-        // Last group clamps to the cluster size.
-        let h2 = SwitchHierarchy::summit_fat_tree(20);
-        assert_eq!(h2.group_nodes(0, 1), 18..20);
-        // Every node is in the group it maps to.
-        for node in 0..20 {
-            let g = h2.group_of(0, node);
-            assert!(h2.group_nodes(0, g).contains(&node));
         }
     }
 }

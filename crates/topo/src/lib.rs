@@ -44,6 +44,6 @@ mod node;
 pub mod presets;
 pub mod summit;
 
-pub use cluster::{ClusterSpec, Fabric, SwitchHierarchy};
+pub use cluster::{ClusterSpec, Fabric};
 pub use discover::{NodeDiscovery, P2PClass, SAME_NOMINAL_BW, SYS_NOMINAL_BW};
 pub use node::{CompId, Component, DuplexLink, LinkKind, NodeSpec};
