@@ -159,7 +159,9 @@ pub fn execute_with(spec: &JobSpec, hooks: RunHooks) -> RunOutcome {
             ctx.barrier();
             dom.rejoin_after_respawn(ctx);
         }
-        let mut mine = Vec::with_capacity(iters);
+        // Grown per iteration run: an absurd `iters` is cut short by a
+        // timeout or cancellation, and must not be allocated up front.
+        let mut mine = Vec::new();
         for i in 0..iters {
             if let Some(flag) = &cancel {
                 if flag.load(Ordering::Relaxed) {
@@ -238,20 +240,25 @@ mod tests {
 
     #[test]
     fn cancel_flag_unwinds_with_cancel_payload() {
-        let flag = Arc::new(AtomicBool::new(true));
-        let hooks = RunHooks {
-            cancel: Some(Arc::clone(&flag)),
-            ..Default::default()
-        };
-        let spec = tiny();
-        let err =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_with(&spec, hooks)))
-                .expect_err("pre-set cancel flag must unwind the world");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("<non-str payload>");
-        assert_eq!(msg, CANCEL_PANIC);
+        // 2^40 iterations pass `validate`; preallocating a time slot for
+        // each would abort the process, which no unwind can catch.
+        let absurd = tiny().iters(1 << 40);
+        assert_eq!(absurd.validate(), Ok(()));
+        for spec in [tiny(), absurd] {
+            let hooks = RunHooks {
+                cancel: Some(Arc::new(AtomicBool::new(true))),
+                ..Default::default()
+            };
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_with(&spec, hooks)
+            }))
+            .expect_err("pre-set cancel flag must unwind the world");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("<non-str payload>");
+            assert_eq!(msg, CANCEL_PANIC, "iters {}", spec.iters);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! in `docs/SERVICE.md`.
 
 use faultsim::{FaultSchedule, Scenario};
+use gpusim::GpuCostModel;
 use stencil_core::{Methods, Partition, PlacementStrategy};
 use topo::presets::{dgx_cluster, fat_cluster, pcie_workstation_cluster};
 use topo::summit::summit_cluster;
@@ -680,6 +681,32 @@ impl JobSpec {
         if self.quantities == 0 {
             return Err("quantities must be >= 1".into());
         }
+        // The thickest GPU subdomain (splits round down, so ⌈extent /
+        // parts⌉ cells per axis) with its halo, one f32 array per quantity
+        // as `LocalDomain::new` allocates, must fit the device memory of
+        // the world `execute_with` builds. Pack buffers are not counted,
+        // so this refuses only worlds that can never build.
+        let limit = GpuCostModel::default().device_mem_limit;
+        let bytes = (0..3)
+            .try_fold(4u64, |b, a| {
+                let thickest = self.domain[a].div_ceil(g[a] as u64);
+                thickest
+                    .checked_add(self.radius)?
+                    .checked_add(self.radius)?
+                    .checked_mul(b)
+            })
+            .and_then(|b| b.checked_mul(self.quantities as u64));
+        match bytes {
+            Some(b) if b <= limit => {}
+            Some(b) => {
+                return Err(format!(
+                    "a GPU subdomain needs {b} bytes of device memory, over the {limit}-byte limit"
+                ))
+            }
+            None => {
+                return Err("a GPU subdomain needs more than 2^64 bytes of device memory".into())
+            }
+        }
         if let Some(0) = self.timeout_ms {
             return Err("timeout_ms must be positive when set".into());
         }
@@ -1055,6 +1082,12 @@ mod tests {
             bad.validate(),
             Err("domain [4, 4, 4] too small for 5 nodes".into())
         );
+        // One Summit node cuts a 2^20-cell cube into ~2^57-cell subdomains,
+        // far past a 16 GiB device: admitted, this panics allocating them.
+        let mut bad = sample();
+        bad.cluster = ClusterPreset::Summit { nodes: 1 };
+        bad.domain = [1 << 20; 3];
+        assert!(bad.validate().unwrap_err().contains("device memory"));
         // A radius as wide as the thinnest (4-cell) subdomain is fine.
         let mut ok = sample();
         ok.domain = [12, 12, 12];
