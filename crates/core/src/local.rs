@@ -116,21 +116,6 @@ impl LocalDomain {
         )
     }
 
-    /// Write an `f32` cell by global coordinates (must be owned).
-    pub fn set_global_f32(&self, q: usize, p: Dim3, v: f32) {
-        assert!(self.owns(p), "cell {p:?} not in this subdomain");
-        let o = self.interior.origin;
-        self.set_local_f32(
-            q,
-            [
-                (p[0] - o[0]) as i64,
-                (p[1] - o[1]) as i64,
-                (p[2] - o[2]) as i64,
-            ],
-            v,
-        );
-    }
-
     /// Initialize quantity `q` from a function of global coordinates
     /// (host-side, setup only).
     pub fn fill(&self, q: usize, f: impl Fn(Dim3) -> f32) {

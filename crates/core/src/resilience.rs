@@ -459,11 +459,6 @@ impl HealthMonitor {
         (top > 0.0 && top > LOCALIZE_DOMINANCE * runner_up).then_some(best)
     }
 
-    /// Consecutive degraded windows seen (the hysteresis streak).
-    pub fn degraded_streak(&self) -> usize {
-        self.streak
-    }
-
     pub(crate) fn note_degraded(&mut self) -> usize {
         self.streak += 1;
         self.streak

@@ -280,11 +280,6 @@ impl Kernel {
         self.compactions
     }
 
-    /// Events currently queued, live and stale (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedule `action` to run at absolute time `at`. Scheduling into the
     /// past is clamped to "now" (it still runs strictly after the current
     /// callback returns).
@@ -392,11 +387,6 @@ impl Kernel {
             }
             CompletionState::Done => true,
         }
-    }
-
-    /// Whether any events remain queued.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
     }
 
     /// Execute the earliest pending event (advancing the clock to it).

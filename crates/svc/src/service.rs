@@ -149,11 +149,6 @@ impl JobHandle {
         }
     }
 
-    /// The result, if the job has finished.
-    pub fn try_result(&self) -> Option<JobResult> {
-        self.cell.slot.lock().unwrap().clone()
-    }
-
     /// Request cancellation: a queued job is resolved as
     /// [`JobStatus::Cancelled`] at dispatch; a running job unwinds at its
     /// next iteration boundary.
