@@ -32,12 +32,9 @@ echo "==> bench smoke (simperf --quick)"
 ./target/release/simperf --quick --json /tmp/simperf_smoke.json
 ./target/release/simperf --validate /tmp/simperf_smoke.json
 
-echo "==> chaos smoke (chaos --quick)"
-./target/release/chaos --quick --iters 2 --metrics /tmp/chaos_smoke.json
+echo "==> chaos contracts, every scenario (chaos --quick --validate)"
+./target/release/chaos --quick --iters 2 --validate --metrics /tmp/chaos_smoke.json
 test -s /tmp/chaos_smoke.json
-
-echo "==> elastic recovery contract (chaos --scenario kill-respawn --validate)"
-./target/release/chaos --quick --iters 2 --scenario kill-respawn --validate
 
 echo "==> mapper smoke (mapperf --quick --validate)"
 ./target/release/mapperf --quick --validate --json /tmp/mapperf_smoke.json
