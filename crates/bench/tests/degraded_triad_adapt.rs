@@ -17,18 +17,57 @@
 //! The contract: adaptation recovers exchange time to within 10% of
 //! fresh-optimal, and not adapting is measurably slower.
 
-use stencil_bench::chaos::{degraded_triad_run, TriadMode};
+use stencil_bench::chaos::{degraded_fat_node_run, degraded_triad_run, TriadMode, TriadRun};
 
 const DOMAIN: [u64; 3] = [720, 726, 350];
+const FAT_DOMAIN: [u64; 3] = [720, 726, 352];
 const FACTOR: f64 = 0.1;
 const WARMUP: usize = 3;
 const MEASURE: usize = 3;
+
+/// `(healthy_mean, degraded_mean)` bit patterns per mode, in `NoAdapt`,
+/// `Adapt`, `FreshOptimal` order. Captured before the adaptation worlds
+/// placed themselves; any drift means the scenario's placement, probes or
+/// allocations changed.
+const TRIAD_PINS: [(u64, u64); 3] = [
+    (0x3f3a75b347be8ac3, 0x3f50024e05af4b5b),
+    (0x3f3a75b347be8ac3, 0x3f3eae272ec5a8ab),
+    (0x3f3eae272ec5a880, 0x3f3eae272ec5a88b),
+];
+
+/// As [`TRIAD_PINS`], for the 12-GPU fat node: the only adaptation world
+/// whose placement and re-placement run on the heuristic rung.
+const FAT_NODE_PINS: [(u64, u64); 3] = [
+    (0x3f400f88f6aff5c4, 0x3f46a348bccef560),
+    (0x3f400f88f6aff5c4, 0x3f426db38dbcbbc0),
+    (0x3f426db38dbcbbc0, 0x3f426db38dbcbbc0),
+];
+
+fn assert_pinned(scenario: &str, runs: [&TriadRun; 3], pins: [(u64, u64); 3]) {
+    let bits = runs.map(|r| (r.healthy_mean.to_bits(), r.degraded_mean.to_bits()));
+    assert_eq!(
+        bits, pins,
+        "{scenario}: (healthy, degraded) bits of NoAdapt/Adapt/FreshOptimal drifted"
+    );
+}
 
 #[test]
 fn adaptive_replacement_recovers_to_fresh_optimal() {
     let no_adapt = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::NoAdapt);
     let adapt = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::Adapt);
     let fresh = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::FreshOptimal);
+    assert_pinned("degraded-triad", [&no_adapt, &adapt, &fresh], TRIAD_PINS);
+    let fat = [
+        TriadMode::NoAdapt,
+        TriadMode::Adapt,
+        TriadMode::FreshOptimal,
+    ]
+    .map(|mode| degraded_fat_node_run(FAT_DOMAIN, FACTOR, WARMUP, MEASURE, mode));
+    assert_pinned(
+        "degraded-fat-node",
+        [&fat[0], &fat[1], &fat[2]],
+        FAT_NODE_PINS,
+    );
 
     assert!(!no_adapt.adapted, "the control arm must not adapt");
     assert!(adapt.adapted, "the monitor failed to trigger re-placement");

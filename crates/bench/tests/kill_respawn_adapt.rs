@@ -21,11 +21,41 @@
 //! the stop-the-world reaction costs measurably more downtime than the
 //! overlapped one.
 
-use stencil_bench::chaos::{kill_recovery_run, RecoveryMode};
+use stencil_bench::chaos::{kill_recovery_run, RecoveryMode, RecoveryRun};
 
 const DOMAIN: [u64; 3] = [720, 726, 350];
 const WARMUP: usize = 3;
 const MEASURE: usize = 3;
+
+/// `(healthy_mean, steady_mean, migrate_secs)` bit patterns and
+/// `adapted_node` per mode, in `NoAdapt`, `StopTheWorldAdapt`,
+/// `OverlappedAdapt`, `FreshOptimal` order. Captured before the recovery
+/// worlds placed themselves; any drift means the scenario's placement,
+/// probes, allocations or rejoin changed.
+type RecoveryPin = ((u64, u64, u64), Option<Option<usize>>);
+const RECOVERY_PINS: [RecoveryPin; 4] = [
+    ((0x3f58b40963778813, 0x3f6499b3228a4c28, 0), None),
+    (
+        (0x3f58b40963778813, 0x3f5d66f2abb1a040, 0x3fbbbc09c65270e0),
+        Some(None),
+    ),
+    (
+        (0x3f58b40963778813, 0x3f5d5cef1b510ec0, 0x3fb813afe70e66cc),
+        Some(Some(1)),
+    ),
+    ((0x3f5d66f2abb1a00b, 0x3f5d66f2abb1a00b, 0), None),
+];
+
+fn pin_of(r: &RecoveryRun) -> RecoveryPin {
+    (
+        (
+            r.healthy_mean.to_bits(),
+            r.steady_mean.to_bits(),
+            r.migrate_secs.to_bits(),
+        ),
+        r.adapted_node,
+    )
+}
 
 #[test]
 fn overlapped_recovery_beats_stop_the_world_and_no_adapt() {
@@ -45,6 +75,11 @@ fn overlapped_recovery_beats_stop_the_world_and_no_adapt() {
         false,
     );
     let fresh = kill_recovery_run(DOMAIN, WARMUP, MEASURE, RecoveryMode::FreshOptimal, false);
+    assert_eq!(
+        [&no_adapt, &stw, &ovl, &fresh].map(pin_of),
+        RECOVERY_PINS,
+        "kill-respawn: pinned bits or adapted node drifted"
+    );
 
     assert!(!no_adapt.adapted, "the control arm must not adapt");
     assert!(stw.adapted, "stop-the-world arm failed to trigger");
