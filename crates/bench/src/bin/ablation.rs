@@ -2,11 +2,10 @@
 //! plus the QAP-solver comparison (exhaustive vs greedy+2-opt), isolating
 //! each design choice's contribution on the Fig. 11 worst-case domain.
 
-use stencil_bench::{
-    bench_args, fmt_ms, measure_exchange, tiers, write_metrics_json, ExchangeConfig,
-};
+use stencil_bench::{bench_args, fmt_ms, tiers, write_metrics_json};
 use stencil_core::dim3::Neighborhood;
-use stencil_core::{placement, qap, Partition, PlacementStrategy, Radius};
+use stencil_core::{placement, qap, Methods, Partition, PlacementStrategy, Radius};
+use svc::{ClusterPreset, JobSpec};
 use topo::summit::summit_node;
 use topo::NodeDiscovery;
 
@@ -30,12 +29,11 @@ fn main() {
     ] {
         let mut row = Vec::new();
         for (_, m) in tiers() {
-            let cfg = ExchangeConfig::new(1, 6, 0)
-                .domain(domain)
+            let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, 6, domain)
                 .methods(m)
                 .placement(p)
                 .iters(iters);
-            row.push(measure_exchange(&cfg).mean);
+            row.push(svc::execute(&spec, None).mean);
         }
         println!(
             "{:<12} | {} {} {} {}",
@@ -59,20 +57,17 @@ fn main() {
     );
     for nodes in [2usize, 8, 32] {
         let extent = stencil_bench::weak_scaling_extent(750, nodes * 6);
-        let plain = measure_exchange(
-            &ExchangeConfig::new(nodes, 6, extent)
-                .methods(stencil_core::Methods::all())
-                .iters(iters),
-        )
-        .mean;
+        let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3])
+            .methods(Methods::all())
+            .iters(iters);
+        let plain = svc::execute(&spec, None).mean;
         // Collect the metrics artifact from the consolidated run at each
         // scale; the last (32-node) snapshot is the one written out.
-        let gr = measure_exchange(
-            &ExchangeConfig::new(nodes, 6, extent)
-                .methods(stencil_core::Methods::all())
+        let gr = svc::execute(
+            &spec
                 .consolidate(true)
-                .iters(iters)
-                .metrics(args.metrics.is_some()),
+                .collect_metrics(args.metrics.is_some()),
+            None,
         );
         if let Some(report) = gr.metrics {
             last_report = Some(report);

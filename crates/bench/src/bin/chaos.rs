@@ -33,19 +33,23 @@
 //! adaptation recovers to within 10% of fresh-optimal; stop-the-world
 //! pays more migration downtime than overlapped) — the CI hook.
 //!
+//! `flapping-nic`, `straggler-gpu` and `cascading` are plain service jobs:
+//! a [`svc::JobSpec`] carrying the [`svc::FaultScenario`], measured clean
+//! and faulted by [`svc::execute`]. The adaptation scenarios drive their
+//! worlds through `stencil_bench::chaos`.
+//!
 //! Every scenario is driven by an explicit event table in virtual time —
 //! no randomness — so repeated runs are bit-identical.
 
-use detsim::SimDuration;
-use faultsim::{FaultSchedule, Scenario};
+use faultsim::Scenario;
 use stencil_bench::chaos::{
-    degraded_fat_node_run, degraded_triad_run, heaviest_triad_pair, kill_recovery_run,
+    degraded_fat_node_run, degraded_triad_run, heaviest_island_pair, kill_recovery_run,
     RecoveryMode, TriadMode,
 };
-use stencil_bench::{
-    fmt_ms, measure_exchange, node_aware_placements, write_metrics_json, ExchangeConfig,
-};
+use stencil_bench::{fmt_ms, write_metrics_json};
 use stencil_core::Partition;
+use svc::{ClusterPreset, FaultScenario, JobSpec};
+use topo::summit::summit_node;
 
 struct ChaosArgs {
     quick: bool,
@@ -333,16 +337,16 @@ fn recovery(args: &ChaosArgs, oom: bool, last_report: &mut Option<detsim::Metric
     }
 }
 
-/// Compare a clean run against the same run with a fault schedule.
+/// Compare a clean run against the same run with a fault scenario.
 fn faulted_vs_clean(
     label: &str,
-    cfg: ExchangeConfig,
-    faults: FaultSchedule,
+    spec: JobSpec,
+    faults: FaultScenario,
     validate: bool,
     last_report: &mut Option<detsim::MetricsReport>,
 ) {
-    let clean = measure_exchange(&cfg);
-    let faulted = measure_exchange(&cfg.clone().metrics(true).faults(faults));
+    let clean = svc::execute(&spec, None);
+    let faulted = svc::execute(&spec.collect_metrics(true).faults(faults), None);
     println!(
         "  {:<28} clean {}  faulted {}  ({:.2}x)",
         label,
@@ -365,17 +369,18 @@ fn faulted_vs_clean(
 fn flapping_nic(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport>) {
     let extent = if args.quick { 472 } else { 945 };
     println!("flapping-nic: node 0's NIC stalls 500us, recovers 250us, x3 (2 nodes, {extent}^3)");
-    let cfg = ExchangeConfig::new(2, 6, extent).iters(args.iters.max(4));
-    let faults = FaultSchedule::flapping_nic(
-        0,
-        SimDuration::from_micros(100),
-        SimDuration::from_micros(500),
-        SimDuration::from_micros(250),
-        3,
-    );
+    let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [extent; 3])
+        .iters(args.iters.max(4));
+    let faults = FaultScenario::FlappingNic {
+        node: 0,
+        first_down_us: 100,
+        down_us: 500,
+        up_us: 250,
+        flaps: 3,
+    };
     faulted_vs_clean(
         "2n/6r staged over IB",
-        cfg,
+        spec,
         faults,
         args.validate,
         last_report,
@@ -385,26 +390,43 @@ fn flapping_nic(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport
 fn straggler_gpu(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport>) {
     let extent = if args.quick { 375 } else { 750 };
     println!("straggler-gpu: device 2's pack engine at 5% from t=0 (1 node, {extent}^3)");
-    let cfg = ExchangeConfig::new(1, 6, extent).iters(args.iters);
-    let faults = FaultSchedule::straggler_gpu(2, SimDuration::ZERO, 0.05);
-    faulted_vs_clean("1n/6r all methods", cfg, faults, args.validate, last_report);
+    let spec =
+        JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, 6, [extent; 3]).iters(args.iters);
+    let faults = FaultScenario::StragglerGpu {
+        device: 2,
+        at_us: 0,
+        speed_factor: 0.05,
+    };
+    faulted_vs_clean(
+        "1n/6r all methods",
+        spec,
+        faults,
+        args.validate,
+        last_report,
+    );
 }
 
 fn cascading(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport>) {
     let extent = if args.quick { 472 } else { 945 };
     println!("cascading: triad link -> NIC flaps -> straggler, 300us apart (2 nodes, {extent}^3)");
-    let cfg = ExchangeConfig::new(2, 6, extent).iters(args.iters.max(4));
+    let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [extent; 3])
+        .iters(args.iters.max(4));
     // Aim the triad fault at the busiest placed NVLink so it bites.
-    let placements = node_aware_placements(&cfg);
-    let part = Partition::new([extent, extent, extent], 2, 6);
-    let (a, b) = heaviest_triad_pair(&part, &placements[0], cfg.radius, cfg.quantities);
-    let faults = FaultSchedule::cascading(
-        0,
+    let part = Partition::new(spec.domain, 2, 6);
+    let (a, b) = heaviest_island_pair(&part, 0, &summit_node(), 3);
+    let faults = FaultScenario::Cascading {
+        node: 0,
         a,
         b,
-        2,
-        SimDuration::from_micros(100),
-        SimDuration::from_micros(300),
+        device: 2,
+        at_us: 100,
+        spacing_us: 300,
+    };
+    faulted_vs_clean(
+        "2n/6r all methods",
+        spec,
+        faults,
+        args.validate,
+        last_report,
     );
-    faulted_vs_clean("2n/6r all methods", cfg, faults, args.validate, last_report);
 }

@@ -3,9 +3,10 @@
 //! 720 x 484 x 700 subdomains). The paper reports ~20% speedup from
 //! node-aware placement.
 
-use stencil_bench::{bench_args, fmt_ms, measure_exchange, write_metrics_json, ExchangeConfig};
+use stencil_bench::{bench_args, fmt_ms, label, write_metrics_json};
 use stencil_core::dim3::Neighborhood;
 use stencil_core::{placement, Methods, Partition, PlacementStrategy, Radius};
+use svc::{ClusterPreset, JobSpec};
 use topo::summit::summit_node;
 use topo::NodeDiscovery;
 
@@ -62,17 +63,16 @@ fn main() {
             // Collect the metrics artifact from the node-aware 6-rank run.
             let collect =
                 args.metrics.is_some() && rpn == 6 && matches!(p, PlacementStrategy::NodeAware);
-            let cfg = ExchangeConfig::new(1, rpn, 0)
-                .domain(domain)
+            let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, rpn, domain)
                 .methods(Methods::all())
                 .placement(p)
                 .iters(iters)
-                .metrics(collect);
-            let res = measure_exchange(&cfg);
+                .collect_metrics(collect);
+            let res = svc::execute(&spec, None);
             if let Some(report) = res.metrics {
                 last_report = Some(report);
             }
-            println!("  {:<26} {:<11}: {}", cfg.label(), pname, fmt_ms(res.mean));
+            println!("  {:<26} {:<11}: {}", label(&spec), pname, fmt_ms(res.mean));
             row.push(res.mean);
         }
         let s = row[1] / row[0];

@@ -6,10 +6,8 @@
 //! improves as ranks-per-node grows; enabling the Kernel method on top of
 //! Peer has no visible effect.
 
-use stencil_bench::{
-    bench_args, fmt_ms, measure_exchange, tiers, tiers_cuda_aware, write_metrics_json,
-    ExchangeConfig,
-};
+use stencil_bench::{bench_args, fmt_ms, label, tiers, tiers_cuda_aware, write_metrics_json};
+use svc::{ClusterPreset, JobSpec};
 
 fn main() {
     let args = bench_args(1);
@@ -28,21 +26,25 @@ fn main() {
     let mut full6 = 0.0;
     for rpn in [1usize, 2, 6] {
         println!("  -- {rpn} rank(s) per node --");
+        let base = JobSpec::new(
+            "bench",
+            ClusterPreset::Summit { nodes: 1 },
+            rpn,
+            [extent; 3],
+        )
+        .iters(iters);
         for (name, m) in tiers() {
             // Collect the metrics artifact from the fully specialized 6-rank
             // run; metrics do not affect virtual time.
             let collect = args.metrics.is_some() && rpn == 6 && name == "+kernel";
-            let cfg = ExchangeConfig::new(1, rpn, extent)
-                .methods(m)
-                .iters(iters)
-                .metrics(collect);
-            let r = measure_exchange(&cfg);
+            let spec = base.clone().methods(m).collect_metrics(collect);
+            let r = svc::execute(&spec, None);
             if let Some(report) = r.metrics {
                 last_report = Some(report);
             }
             println!(
                 "  {:<16} {:<11} {}   {}",
-                cfg.label(),
+                label(&spec),
                 name,
                 fmt_ms(r.mean),
                 r.plan
@@ -55,14 +57,11 @@ fn main() {
             }
         }
         for (name, m) in tiers_cuda_aware() {
-            let cfg = ExchangeConfig::new(1, rpn, extent)
-                .methods(m)
-                .cuda_aware(true)
-                .iters(iters);
-            let r = measure_exchange(&cfg);
+            let spec = base.clone().methods(m).cuda_aware(true);
+            let r = svc::execute(&spec, None);
             println!(
                 "  {:<16} {:<11} {}   {}",
-                cfg.label(),
+                label(&spec),
                 name,
                 fmt_ms(r.mean),
                 r.plan

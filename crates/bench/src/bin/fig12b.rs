@@ -5,12 +5,8 @@
 //! Paper claims: time flattens once most nodes have 26 distinct neighbors
 //! (~32 nodes); at 256 nodes specialization gives ~1.16x over Staged-only.
 
-use std::sync::Arc;
-
-use stencil_bench::{
-    bench_args, fmt_ms, measure_exchange, node_aware_placements, tiers, weak_scaling_extent,
-    write_metrics_json, ExchangeConfig,
-};
+use stencil_bench::{bench_args, fmt_ms, tiers, weak_scaling_extent, write_metrics_json};
+use svc::{ClusterPreset, JobSpec};
 
 fn main() {
     let args = bench_args(256);
@@ -29,19 +25,14 @@ fn main() {
             break;
         }
         let extent = weak_scaling_extent(750, nodes * 6);
-        // One QAP/partition solve per row, shared by all four method tiers.
-        let pre = node_aware_placements(&ExchangeConfig::new(nodes, 6, extent));
+        let base =
+            JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3]).iters(iters);
         let mut row = Vec::new();
         for (i, (_, m)) in all_tiers.iter().enumerate() {
             // Collect the metrics artifact from the fully specialized tier;
             // metrics do not affect virtual time, so the row is unchanged.
             let collect = args.metrics.is_some() && i == all_tiers.len() - 1;
-            let cfg = ExchangeConfig::new(nodes, 6, extent)
-                .methods(*m)
-                .iters(iters)
-                .metrics(collect)
-                .preplaced(Arc::clone(&pre));
-            let r = measure_exchange(&cfg);
+            let r = svc::execute(&base.clone().methods(*m).collect_metrics(collect), None);
             if let Some(report) = r.metrics {
                 last_report = Some(report);
             }

@@ -3,13 +3,11 @@
 //! transfers on the default stream and synchronizes the device per
 //! message), and intra-node specialization ceases to help.
 
-use std::sync::Arc;
-
 use stencil_bench::{
-    bench_args, fmt_ms, measure_exchange, node_aware_placements, tiers_cuda_aware,
-    weak_scaling_extent, write_metrics_json, ExchangeConfig,
+    bench_args, fmt_ms, tiers_cuda_aware, weak_scaling_extent, write_metrics_json,
 };
 use stencil_core::Methods;
+use svc::{ClusterPreset, JobSpec};
 
 fn main() {
     let args = bench_args(256);
@@ -30,30 +28,24 @@ fn main() {
             break;
         }
         let extent = weak_scaling_extent(750, nodes * 6);
-        // One QAP/partition solve per row, shared by the CA tiers and the
-        // non-CA reference (placement is independent of CUDA-awareness).
-        let pre = node_aware_placements(&ExchangeConfig::new(nodes, 6, extent));
+        let base =
+            JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3]).iters(iters);
         let mut row = Vec::new();
         for (i, (_, m)) in ca_tiers.iter().enumerate() {
             let collect = args.metrics.is_some() && i == ca_tiers.len() - 1;
-            let cfg = ExchangeConfig::new(nodes, 6, extent)
+            let spec = base
+                .clone()
                 .methods(*m)
                 .cuda_aware(true)
-                .iters(iters)
-                .metrics(collect)
-                .preplaced(Arc::clone(&pre));
-            let r = measure_exchange(&cfg);
+                .collect_metrics(collect);
+            let r = svc::execute(&spec, None);
             if let Some(report) = r.metrics {
                 last_report = Some(report);
             }
             row.push(r.mean);
         }
         // non-CA staged reference for the same size
-        let refc = ExchangeConfig::new(nodes, 6, extent)
-            .methods(Methods::staged_only())
-            .iters(iters)
-            .preplaced(Arc::clone(&pre));
-        let r = measure_exchange(&refc).mean;
+        let r = svc::execute(&base.methods(Methods::staged_only()), None).mean;
         println!(
             "{:>6} {:>8} | {} {} {} {} | {}",
             nodes,

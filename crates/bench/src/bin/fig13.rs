@@ -5,12 +5,8 @@
 //! specialization stops improving things past ~32 nodes; strong scaling
 //! stalls at 256 nodes as subdomains become tiny.
 
-use std::sync::Arc;
-
-use stencil_bench::{
-    bench_args, fmt_ms, measure_exchange, node_aware_placements, tiers, write_metrics_json,
-    ExchangeConfig,
-};
+use stencil_bench::{bench_args, fmt_ms, tiers, write_metrics_json};
+use svc::{ClusterPreset, JobSpec};
 
 fn main() {
     let args = bench_args(256);
@@ -29,17 +25,12 @@ fn main() {
         if nodes > args.max_nodes {
             break;
         }
-        // One QAP/partition solve per row, shared by all four method tiers.
-        let pre = node_aware_placements(&ExchangeConfig::new(nodes, 6, extent));
+        let base =
+            JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3]).iters(iters);
         let mut row = Vec::new();
         for (i, (_, m)) in all_tiers.iter().enumerate() {
             let collect = args.metrics.is_some() && i == all_tiers.len() - 1;
-            let cfg = ExchangeConfig::new(nodes, 6, extent)
-                .methods(*m)
-                .iters(iters)
-                .metrics(collect)
-                .preplaced(Arc::clone(&pre));
-            let r = measure_exchange(&cfg);
+            let r = svc::execute(&base.clone().methods(*m).collect_metrics(collect), None);
             if let Some(report) = r.metrics {
                 last_report = Some(report);
             }

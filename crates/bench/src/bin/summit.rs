@@ -14,13 +14,11 @@
 //! (`BENCH_summit_fig12.json` at the repo root was produced this way; see
 //! EXPERIMENTS.md for the exact command and runtime budget).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use stencil_bench::{
-    fmt_ms, measure_exchange, node_aware_placements, weak_scaling_extent, ExchangeConfig,
-};
+use stencil_bench::{fmt_ms, weak_scaling_extent};
 use stencil_core::Methods;
+use svc::{ClusterPreset, JobSpec};
 
 struct Row {
     nodes: usize,
@@ -76,15 +74,9 @@ fn main() {
         }
         let t0 = Instant::now();
         let extent = weak_scaling_extent(750, nodes * 6);
-        // One partition/QAP solve per row, shared by both tiers.
-        let pre = node_aware_placements(&ExchangeConfig::new(nodes, 6, extent));
-        let tier = |m: Methods| {
-            let cfg = ExchangeConfig::new(nodes, 6, extent)
-                .methods(m)
-                .iters(iters)
-                .preplaced(Arc::clone(&pre));
-            measure_exchange(&cfg).mean
-        };
+        let base =
+            JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3]).iters(iters);
+        let tier = |m: Methods| svc::execute(&base.clone().methods(m), None).mean;
         let staged = tier(Methods::staged_only());
         let specialized = tier(Methods::all());
         let wall = t0.elapsed().as_secs_f64();

@@ -12,23 +12,25 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use detsim::{MetricsReport, SimDuration};
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
 use stencil_core::dim3::Boundary;
-use stencil_core::placement::flow_matrix_bc;
+use stencil_core::placement::{flow_matrix_bc, place};
 use stencil_core::{
     AdaptOutcome, AdaptPolicy, AdaptScope, DomainBuilder, Methods, MigrationMode, Neighborhood,
-    Partition, Placement, PlacementStrategy, Radius,
+    Partition, PlacementStrategy, Radius,
 };
 use topo::presets::fat_cluster;
 use topo::summit::summit_cluster;
-use topo::ClusterSpec;
+use topo::{ClusterSpec, NodeDiscovery, NodeSpec};
 
-use crate::{node_aware_placements_for, ExchangeConfig};
+/// Stencil radius of every scenario world (the paper's default).
+const RADIUS: u64 = 2;
+/// Single-precision quantities per cell of every scenario world.
+const QUANTITIES: usize = 4;
 
 /// Policy for responding to the mid-run triad degradation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,50 +63,40 @@ pub struct TriadRun {
     pub metrics: Option<MetricsReport>,
 }
 
-/// The same-triad GPU pair carrying the most exchange volume under
-/// `placement` — the highest-impact NVLink to degrade. Restricting to
-/// same-triad pairs keeps the fault on a dedicated GPU-GPU link (a
+/// The same-island GPU pair of node `node` (linear index) carrying the
+/// most exchange volume under the healthy node-aware placement — the
+/// highest-impact NVLink to degrade. The placement is solved here the way
+/// a world places itself on `node_spec`, only to pick the link. Islands
+/// hold `gpus_per_island` GPUs each: Summit's triads are the 3-GPU case,
+/// and [`topo::presets::fat_node`] numbers GPUs island by island, so
+/// `g / gpus_per_island` is the island index on both presets. Restricting
+/// to same-island pairs keeps the fault on a dedicated GPU-GPU link (a
 /// cross-socket pair would degrade the shared X-Bus path instead).
-pub fn heaviest_triad_pair(
-    part: &Partition,
-    placement: &Placement,
-    radius: u64,
-    quantities: usize,
-) -> (usize, usize) {
-    heaviest_island_pair(part, placement, radius, quantities, 3)
-}
-
-/// As [`heaviest_triad_pair`], for nodes whose NVLink islands hold
-/// `gpus_per_island` GPUs each (Summit's triads are the 3-GPU case;
-/// [`topo::presets::fat_node`] numbers GPUs island by island, so
-/// `g / gpus_per_island` is the island index on both presets).
 pub fn heaviest_island_pair(
     part: &Partition,
-    placement: &Placement,
-    radius: u64,
-    quantities: usize,
-    gpus_per_island: usize,
-) -> (usize, usize) {
-    heaviest_island_pair_at(part, placement, 0, radius, quantities, gpus_per_island)
-}
-
-/// As [`heaviest_island_pair`], against the flow matrix of an arbitrary
-/// node (the linear node index) — for faults aimed at nodes other than 0.
-pub fn heaviest_island_pair_at(
-    part: &Partition,
-    placement: &Placement,
     node: usize,
-    radius: u64,
-    quantities: usize,
+    node_spec: &NodeSpec,
     gpus_per_island: usize,
 ) -> (usize, usize) {
     let idx = part.node_from_linear(node);
+    let radius = Radius::constant(RADIUS);
+    let healthy = place(
+        part,
+        idx,
+        &NodeDiscovery::discover(node_spec),
+        Neighborhood::Full26,
+        &radius,
+        QUANTITIES,
+        4,
+        PlacementStrategy::NodeAware,
+        Boundary::Periodic,
+    );
     let w = flow_matrix_bc(
         part,
         idx,
         Neighborhood::Full26,
-        &Radius::constant(radius),
-        quantities,
+        &radius,
+        QUANTITIES,
         4,
         Boundary::Periodic,
     );
@@ -113,8 +105,8 @@ pub fn heaviest_island_pair_at(
     let mut best_vol = -1.0f64;
     for (s, row) in w.iter().enumerate() {
         for t in (s + 1)..row.len() {
-            let g1 = placement.gpu_for_subdomain[s];
-            let g2 = placement.gpu_for_subdomain[t];
+            let g1 = healthy.gpu_for_subdomain[s];
+            let g2 = healthy.gpu_for_subdomain[t];
             if g1 == g2 || island(g1) != island(g2) {
                 continue;
             }
@@ -207,17 +199,8 @@ pub fn degraded_island_run(
     mode: TriadMode,
 ) -> TriadRun {
     assert!(warmup_iters >= 1 && measure_iters >= 1);
-    let gpn = cluster.node.num_gpus();
-    let cfg = ExchangeConfig::new(1, ranks_per_node, 0).domain(domain);
-    let healthy = node_aware_placements_for(&cfg, &cluster.node);
-    let part = Partition::new(domain, 1, gpn);
-    let (a, b) = heaviest_island_pair(
-        &part,
-        &healthy[0],
-        cfg.radius,
-        cfg.quantities,
-        gpus_per_island,
-    );
+    let part = Partition::new(domain, 1, cluster.node.num_gpus());
+    let (a, b) = heaviest_island_pair(&part, 0, &cluster.node, gpus_per_island);
     let fault = FaultSchedule::degraded_triad(0, a, b, SimDuration::ZERO, bandwidth_factor);
 
     let num_ranks = ranks_per_node;
@@ -240,19 +223,18 @@ pub fn degraded_island_run(
         // degraded substrate and placement is optimal *for it*.
         world = world.faults(fault.clone());
     }
-    let radius = cfg.radius;
-    let quantities = cfg.quantities;
+    let placement = match mode {
+        TriadMode::FreshOptimal => PlacementStrategy::Empirical,
+        _ => PlacementStrategy::NodeAware,
+    };
     let report = run_world(world, move |ctx| {
-        let mut builder = DomainBuilder::new(domain)
-            .radius(radius)
-            .quantities(quantities)
+        let mut dom = DomainBuilder::new(domain)
+            .radius(RADIUS)
+            .quantities(QUANTITIES)
             .neighborhood(Neighborhood::Full26)
-            .methods(Methods::all());
-        builder = match mode {
-            TriadMode::FreshOptimal => builder.placement(PlacementStrategy::Empirical),
-            _ => builder.preplaced(Arc::clone(&healthy)),
-        };
-        let mut dom = builder.build(ctx);
+            .methods(Methods::all())
+            .placement(placement)
+            .build(ctx);
         // One window per iteration; baseline = mean of the warmup windows.
         // The exchange histogram averages every rank's critical path, so a
         // fault on one link is diluted by the unaffected ranks — 1.25x of
@@ -407,14 +389,11 @@ pub fn kill_recovery_run(
     let victim_device = 8usize;
     let kill_at = SimDuration::from_micros(50);
     let down_for = SimDuration::from_micros(300);
-    let gpn = cluster.node.num_gpus();
 
-    let cfg = ExchangeConfig::new(2, ranks_per_node, 0).domain(domain);
-    let healthy = node_aware_placements_for(&cfg, &cluster.node);
-    let part = Partition::new(domain, 2, gpn);
+    let part = Partition::new(domain, 2, cluster.node.num_gpus());
     // Aim the link degradation at node 1's busiest placed NVLink so the
     // stale placement really is wrong afterwards.
-    let (a, b) = heaviest_island_pair_at(&part, &healthy[1], 1, cfg.radius, cfg.quantities, 3);
+    let (a, b) = heaviest_island_pair(&part, 1, &cluster.node, 3);
     // 2% NVLink bandwidth: with two nodes the inter-node leg dominates the
     // critical path, so a milder intra-node degradation would hide behind
     // it and never clear the detection threshold.
@@ -428,8 +407,6 @@ pub fn kill_recovery_run(
         FaultSchedule::kill_respawn(victim, kill_at, down_for)
     });
 
-    let radius = cfg.radius;
-    let quantities = cfg.quantities;
     let healthy_times: Rc<RefCell<Vec<Vec<f64>>>> =
         Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
     let steady_times: Rc<RefCell<Vec<Vec<f64>>>> =
@@ -451,18 +428,19 @@ pub fn kill_recovery_run(
     if mode == RecoveryMode::FreshOptimal {
         world = world.faults(degrade(SimDuration::ZERO));
     }
+    let placement = match mode {
+        RecoveryMode::FreshOptimal => PlacementStrategy::Empirical,
+        _ => PlacementStrategy::NodeAware,
+    };
     let report = run_world(world, move |ctx| {
         let me = ctx.rank();
-        let mut builder = DomainBuilder::new(domain)
-            .radius(radius)
-            .quantities(quantities)
+        let mut dom = DomainBuilder::new(domain)
+            .radius(RADIUS)
+            .quantities(QUANTITIES)
             .neighborhood(Neighborhood::Full26)
-            .methods(Methods::all());
-        builder = match mode {
-            RecoveryMode::FreshOptimal => builder.placement(PlacementStrategy::Empirical),
-            _ => builder.preplaced(Arc::clone(&healthy)),
-        };
-        let mut dom = builder.build(ctx);
+            .methods(Methods::all())
+            .placement(placement)
+            .build(ctx);
         let mut monitor = match mode {
             RecoveryMode::StopTheWorldAdapt => AdaptPolicy::new()
                 .warmup_windows(warmup_iters)

@@ -1,275 +1,42 @@
 //! Shared measurement harness for the paper-reproduction benchmarks.
 //!
-//! Timing follows the paper's protocol (§IV-A): in each rank,
-//! `MPI_Barrier`, record `MPI_Wtime`, run the exchange, record the end
-//! time; the maximum across ranks is the reported exchange time. Exchange
-//! times are averaged over a configurable number of repetitions.
+//! A figure binary describes each measured run as a [`svc::JobSpec`] and
+//! measures it with [`svc::execute`], the construction path the job
+//! service uses too. That follows the paper's timing protocol (§IV-A): in
+//! each rank, `MPI_Barrier`, record `MPI_Wtime`, run the exchange, record
+//! the end time; the maximum across ranks is the reported exchange time,
+//! averaged over the spec's iterations. This crate adds the pieces the
+//! binaries share: labels, the weak-scaling extent rule, method tiers and
+//! CLI flags.
 
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod microbench;
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use svc::JobSpec;
 
-use faultsim::FaultSchedule;
-use stencil_core::{Methods, Neighborhood, Partition, Placement, PlacementStrategy, Radius};
-use topo::summit::summit_node;
-use topo::NodeDiscovery;
-
-/// One benchmark configuration, encoded like the paper's labels
-/// ("Xn/Xr/Xg/NNNN/ca").
-#[derive(Clone, Debug)]
-pub struct ExchangeConfig {
-    /// Nodes.
-    pub nodes: usize,
-    /// Ranks per node.
-    pub ranks_per_node: usize,
-    /// Cube extent per dimension (the paper's NNNN).
-    pub extent: u64,
-    /// Explicit non-cube domain (overrides `extent` when set).
-    pub domain: Option<[u64; 3]>,
-    /// Enabled exchange methods.
-    pub methods: Methods,
-    /// CUDA-aware MPI available.
-    pub cuda_aware: bool,
-    /// Stencil radius.
-    pub radius: u64,
-    /// Quantities (paper: 4 single-precision).
-    pub quantities: usize,
-    /// Placement strategy.
-    pub placement: PlacementStrategy,
-    /// Measured repetitions (paper: 30; the simulation is deterministic so
-    /// fewer suffice).
-    pub iters: usize,
-    /// Consolidate staged messages (paper §VI extension).
-    pub consolidate: bool,
-    /// Collect metrics during the run (virtual-time results are unaffected;
-    /// the registry snapshot lands in [`ExchangeResult::metrics`]).
-    pub metrics: bool,
-    /// Deterministic fault schedule installed before the ranks start. An
-    /// empty schedule injects zero events and leaves runs bit-identical to
-    /// a fault-free simulation.
-    pub faults: FaultSchedule,
-    /// Precomputed per-node placements (see [`node_aware_placements`]);
-    /// skips the per-run placement phase so sweeps that measure the same
-    /// geometry under several method tiers pay the QAP cost once.
-    pub preplaced: Option<Arc<Vec<Placement>>>,
-}
-
-impl ExchangeConfig {
-    /// A paper-style configuration: cube domain, radius 2, four SP
-    /// quantities, node-aware placement.
-    pub fn new(nodes: usize, ranks_per_node: usize, extent: u64) -> Self {
-        ExchangeConfig {
-            nodes,
-            ranks_per_node,
-            extent,
-            domain: None,
-            methods: Methods::all(),
-            cuda_aware: false,
-            radius: 2,
-            quantities: 4,
-            placement: PlacementStrategy::NodeAware,
-            iters: 3,
-            consolidate: false,
-            metrics: false,
-            faults: FaultSchedule::new(),
-            preplaced: None,
-        }
-    }
-
-    /// Set enabled methods.
-    pub fn methods(mut self, m: Methods) -> Self {
-        self.methods = m;
-        self
-    }
-
-    /// Enable CUDA-aware MPI.
-    pub fn cuda_aware(mut self, on: bool) -> Self {
-        self.cuda_aware = on;
-        self
-    }
-
-    /// Use an explicit (non-cube) domain.
-    pub fn domain(mut self, d: [u64; 3]) -> Self {
-        self.domain = Some(d);
-        self
-    }
-
-    /// Set the placement strategy.
-    pub fn placement(mut self, p: PlacementStrategy) -> Self {
-        self.placement = p;
-        self
-    }
-
-    /// Set the number of repetitions.
-    pub fn iters(mut self, n: usize) -> Self {
-        self.iters = n;
-        self
-    }
-
-    /// Enable staged-message consolidation.
-    pub fn consolidate(mut self, on: bool) -> Self {
-        self.consolidate = on;
-        self
-    }
-
-    /// Enable metrics collection for this run.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
-        self
-    }
-
-    /// Install a deterministic fault schedule for this run.
-    pub fn faults(mut self, schedule: FaultSchedule) -> Self {
-        self.faults = schedule;
-        self
-    }
-
-    /// Reuse precomputed placements, skipping the placement phase.
-    pub fn preplaced(mut self, placements: Arc<Vec<Placement>>) -> Self {
-        self.preplaced = Some(placements);
-        self
-    }
-
-    /// The equivalent service job description. Faults and precomputed
-    /// placements are not part of the declarative spec — they ride as
-    /// [`svc::RunHooks`] (see [`measure_exchange`]).
-    pub fn to_job_spec(&self) -> svc::JobSpec {
-        let domain = self
-            .domain
-            .unwrap_or([self.extent, self.extent, self.extent]);
-        let mut spec = svc::JobSpec::new(
-            "bench",
-            svc::ClusterPreset::Summit { nodes: self.nodes },
-            self.ranks_per_node,
-            domain,
-        )
-        .methods(self.methods)
-        .cuda_aware(self.cuda_aware)
-        .radius(self.radius)
-        .placement(self.placement)
-        .iters(self.iters)
-        .consolidate(self.consolidate)
-        .collect_metrics(self.metrics);
-        spec.quantities = self.quantities;
-        spec
-    }
-
-    /// The paper's label string, e.g. `"2n/6r/6g/750/ca"`.
-    pub fn label(&self) -> String {
-        let base = match self.domain {
-            Some(d) => format!(
-                "{}n/{}r/6g/{}x{}x{}",
-                self.nodes, self.ranks_per_node, d[0], d[1], d[2]
-            ),
-            None => format!(
-                "{}n/{}r/6g/{}",
-                self.nodes, self.ranks_per_node, self.extent
-            ),
-        };
-        if self.cuda_aware {
-            format!("{base}/ca")
-        } else {
-            base
-        }
-    }
-}
-
-/// Result of one measured configuration.
-#[derive(Clone, Debug)]
-pub struct ExchangeResult {
-    /// Per-iteration max-across-ranks exchange seconds.
-    pub per_iter: Vec<f64>,
-    /// Average of `per_iter`.
-    pub mean: f64,
-    /// Human-readable plan summary from rank 0.
-    pub plan: String,
-    /// Metrics snapshot, if [`ExchangeConfig::metrics`] was set.
-    pub metrics: Option<detsim::MetricsReport>,
-}
-
-/// Measure halo-exchange time for a configuration, following the paper's
-/// timing protocol. Runs in virtual data mode (no real bytes) so that
-/// paper-scale domains fit.
-///
-/// Delegates to the shared spec→world construction path
-/// ([`svc::execute_with`]): the figure binaries and the job service
-/// measure through identical code. Bench-only extras (explicit fault
-/// schedules, precomputed placements) ride as [`svc::RunHooks`].
-pub fn measure_exchange(cfg: &ExchangeConfig) -> ExchangeResult {
-    let spec = cfg.to_job_spec();
-    let hooks = svc::RunHooks {
-        preplaced: cfg.preplaced.clone(),
-        fault_override: Some(cfg.faults.clone()),
-        cancel: None,
+/// The paper's label for a job, e.g. `"2n/6r/6g/750/ca"`: nodes, ranks
+/// and GPUs per node, the domain (one extent for a cube, else all three),
+/// and `/ca` when MPI is CUDA-aware.
+pub fn label(spec: &JobSpec) -> String {
+    let [x, y, z] = spec.domain;
+    let domain = if x == y && y == z {
+        x.to_string()
+    } else {
+        format!("{x}x{y}x{z}")
     };
-    let out = svc::execute_with(&spec, hooks);
-    ExchangeResult {
-        per_iter: out.per_iter,
-        mean: out.mean,
-        plan: out.plan,
-        metrics: out.metrics,
-    }
-}
-
-/// Compute the per-node placements a run of `cfg` would produce, without
-/// running a simulation. Mirrors the domain constructor's placement phase
-/// (hierarchical partition, one QAP solve per distinct node extent) so the
-/// result can be fed back via [`ExchangeConfig::preplaced`] to skip that
-/// phase. Placement depends only on geometry, radius, quantities and
-/// strategy — not on methods, CUDA-awareness or iteration count — so one
-/// computation serves every method tier of a sweep row.
-///
-/// Only topology-derived strategies are supported
-/// ([`PlacementStrategy::Empirical`] needs in-simulation probe transfers).
-pub fn node_aware_placements(cfg: &ExchangeConfig) -> Arc<Vec<Placement>> {
-    node_aware_placements_for(cfg, &summit_node())
-}
-
-/// As [`node_aware_placements`], for an arbitrary node preset (fat nodes,
-/// DGX, workstations) instead of Summit. Node sizes beyond the exhaustive
-/// QAP range solve on the heuristic rungs of the placement ladder.
-pub fn node_aware_placements_for(
-    cfg: &ExchangeConfig,
-    node: &topo::NodeSpec,
-) -> Arc<Vec<Placement>> {
-    assert_ne!(
-        cfg.placement,
-        PlacementStrategy::Empirical,
-        "empirical placement probes inside the simulation and cannot be precomputed"
+    let base = format!(
+        "{}n/{}r/{}g/{domain}",
+        spec.cluster.nodes(),
+        spec.ranks_per_node,
+        spec.cluster.gpus_per_node()
     );
-    let domain = cfg.domain.unwrap_or([cfg.extent, cfg.extent, cfg.extent]);
-    let gpn = node.num_gpus();
-    let part = Partition::new(domain, cfg.nodes, gpn);
-    let discovery = NodeDiscovery::discover(node);
-    let radius = Radius::constant(cfg.radius);
-    let mut by_extent: HashMap<stencil_core::Dim3, Placement> = HashMap::new();
-    let mut placements = Vec::with_capacity(part.num_nodes());
-    for n in 0..part.num_nodes() {
-        let idx = part.node_from_linear(n);
-        let ext = part.node_box(idx).extent;
-        let pl = by_extent
-            .entry(ext)
-            .or_insert_with(|| {
-                stencil_core::placement::place(
-                    &part,
-                    idx,
-                    &discovery,
-                    Neighborhood::Full26,
-                    &radius,
-                    cfg.quantities,
-                    4,
-                    cfg.placement,
-                    stencil_core::dim3::Boundary::Periodic,
-                )
-            })
-            .clone();
-        placements.push(pl);
+    if spec.cuda_aware {
+        format!("{base}/ca")
+    } else {
+        base
     }
-    Arc::new(placements)
 }
 
 /// The paper's weak-scaling domain size rule (§IV-D): total volume close to
@@ -372,6 +139,7 @@ pub fn tiers_cuda_aware() -> Vec<(&'static str, stencil_core::Methods)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svc::ClusterPreset;
 
     #[test]
     fn weak_scaling_extent_matches_formula() {
@@ -384,10 +152,15 @@ mod tests {
 
     #[test]
     fn labels_follow_paper_format() {
-        let c = ExchangeConfig::new(2, 6, 945).cuda_aware(true);
-        assert_eq!(c.label(), "2n/6r/6g/945/ca");
-        let c2 = ExchangeConfig::new(1, 1, 0).domain([1440, 1452, 700]);
-        assert_eq!(c2.label(), "1n/1r/6g/1440x1452x700");
+        let c = JobSpec::new("t", ClusterPreset::Summit { nodes: 2 }, 6, [945; 3]).cuda_aware(true);
+        assert_eq!(label(&c), "2n/6r/6g/945/ca");
+        let c2 = JobSpec::new(
+            "t",
+            ClusterPreset::Summit { nodes: 1 },
+            1,
+            [1440, 1452, 700],
+        );
+        assert_eq!(label(&c2), "1n/1r/6g/1440x1452x700");
     }
 
     #[test]
@@ -409,7 +182,10 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_rides_along() {
-        let r = measure_exchange(&ExchangeConfig::new(1, 2, 64).iters(1).metrics(true));
+        let spec = JobSpec::new("t", ClusterPreset::Summit { nodes: 1 }, 2, [64; 3])
+            .iters(1)
+            .collect_metrics(true);
+        let r = svc::execute(&spec, None);
         let report = r.metrics.expect("metrics requested but absent");
         let json = report.to_json();
         assert!(json.contains("\"exchange\""), "no exchange metrics: {json}");
@@ -417,7 +193,8 @@ mod tests {
 
     #[test]
     fn small_measurement_runs() {
-        let r = measure_exchange(&ExchangeConfig::new(1, 1, 96).iters(2));
+        let spec = JobSpec::new("t", ClusterPreset::Summit { nodes: 1 }, 1, [96; 3]).iters(2);
+        let r = svc::execute(&spec, None);
         assert_eq!(r.per_iter.len(), 2);
         assert!(r.mean > 0.0);
         assert!(!r.plan.is_empty());

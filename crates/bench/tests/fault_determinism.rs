@@ -1,30 +1,26 @@
 //! Fault schedules are explicit event tables in virtual time — no RNG —
 //! so a faulted run is exactly as deterministic as a clean one.
 
-use detsim::SimDuration;
-use faultsim::FaultSchedule;
-use stencil_bench::{measure_exchange, ExchangeConfig};
+use svc::{ClusterPreset, FaultScenario, JobSpec, RunOutcome};
 
-fn faulted_config() -> ExchangeConfig {
-    ExchangeConfig::new(2, 6, 472)
+fn faulted_config() -> JobSpec {
+    JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [472; 3])
         .iters(4)
-        .faults(FaultSchedule::cascading(
-            0,
-            0,
-            1,
-            2,
-            SimDuration::from_micros(100),
-            SimDuration::from_micros(300),
-        ))
+        .faults(FaultScenario::Cascading {
+            node: 0,
+            a: 0,
+            b: 1,
+            device: 2,
+            at_us: 100,
+            spacing_us: 300,
+        })
 }
 
 #[test]
 fn faulted_runs_are_bit_identical_across_runs() {
-    let a = measure_exchange(&faulted_config());
-    let b = measure_exchange(&faulted_config());
-    let bits = |r: &stencil_bench::ExchangeResult| -> Vec<u64> {
-        r.per_iter.iter().map(|v| v.to_bits()).collect()
-    };
+    let a = svc::execute(&faulted_config(), None);
+    let b = svc::execute(&faulted_config(), None);
+    let bits = |r: &RunOutcome| -> Vec<u64> { r.per_iter.iter().map(|v| v.to_bits()).collect() };
     assert_eq!(
         bits(&a),
         bits(&b),
@@ -33,7 +29,10 @@ fn faulted_runs_are_bit_identical_across_runs() {
 
     // And the schedule actually does something: the same config without
     // faults completes faster.
-    let clean = measure_exchange(&ExchangeConfig::new(2, 6, 472).iters(4));
+    let clean = svc::execute(
+        &JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [472; 3]).iters(4),
+        None,
+    );
     assert!(
         a.mean > clean.mean,
         "cascading faults should slow the exchange: clean {:.3e} s vs faulted {:.3e} s",
@@ -49,7 +48,10 @@ fn faulted_runs_are_bit_identical_across_runs() {
 #[test]
 fn faults_off_worlds_match_pre_resilience_golden_bits() {
     const STAGED_2N: [u64; 3] = [0x3f50e943cb89048a, 0x3f50e943cb890488, 0x3f50e943cb89048a];
-    let r = measure_exchange(&ExchangeConfig::new(2, 6, 472).iters(3));
+    let r = svc::execute(
+        &JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [472; 3]).iters(3),
+        None,
+    );
     let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
         bits,
@@ -58,7 +60,12 @@ fn faults_off_worlds_match_pre_resilience_golden_bits() {
     );
 
     const CUDA_AWARE_1N: [u64; 2] = [0x3f39f3c89f0542e0, 0x3f39f3c89f0542e0];
-    let r = measure_exchange(&ExchangeConfig::new(1, 6, 256).iters(2).cuda_aware(true));
+    let r = svc::execute(
+        &JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, 6, [256; 3])
+            .iters(2)
+            .cuda_aware(true),
+        None,
+    );
     let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
         bits,
@@ -69,8 +76,8 @@ fn faults_off_worlds_match_pre_resilience_golden_bits() {
 
 #[test]
 fn metrics_do_not_perturb_faulted_virtual_times() {
-    let plain = measure_exchange(&faulted_config());
-    let metered = measure_exchange(&faulted_config().metrics(true));
+    let plain = svc::execute(&faulted_config(), None);
+    let metered = svc::execute(&faulted_config().collect_metrics(true), None);
     let pb: Vec<u64> = plain.per_iter.iter().map(|v| v.to_bits()).collect();
     let mb: Vec<u64> = metered.per_iter.iter().map(|v| v.to_bits()).collect();
     assert_eq!(pb, mb, "metrics-on faulted run diverged");

@@ -8,61 +8,34 @@
 //! timestamp by even one picosecond fails this test.
 
 use detsim::metrics::MetricValue;
-use faultsim::FaultSchedule;
-use stencil_bench::{measure_exchange, node_aware_placements, weak_scaling_extent, ExchangeConfig};
+use stencil_bench::weak_scaling_extent;
 use stencil_core::Methods;
+use svc::{ClusterPreset, JobSpec};
 
 /// 16 nodes x 6 ranks, weak-scaling extent 750 per GPU.
 const NODES: usize = 16;
 const RANKS_PER_NODE: usize = 6;
 
-/// Bit patterns of `ExchangeResult::per_iter` (seconds of virtual time per
+/// Bit patterns of `RunOutcome::per_iter` (seconds of virtual time per
 /// exchange iteration) for the config above with `iters(2)`, captured on
 /// the seed simulator. Iteration 0 includes first-touch effects (cold FIFO
 /// and match-queue state), so the two differ in the last ulp.
 const GOLDEN_PER_ITER_BITS: [u64; 2] = [0x3f90c4cfc10af58a, 0x3f90c4cfc10af589];
 
-fn golden_config() -> ExchangeConfig {
+fn golden_config() -> JobSpec {
     let extent = weak_scaling_extent(750, NODES * RANKS_PER_NODE);
     assert_eq!(extent, 3434, "weak-scaling extent formula changed");
-    ExchangeConfig::new(NODES, RANKS_PER_NODE, extent).iters(2)
+    let cluster = ClusterPreset::Summit { nodes: NODES };
+    JobSpec::new("bench", cluster, RANKS_PER_NODE, [extent; 3]).iters(2)
 }
 
 #[test]
 fn fig12b_16_node_virtual_times_match_golden_bits() {
-    let r = measure_exchange(&golden_config());
+    let r = svc::execute(&golden_config(), None);
     let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
         bits, GOLDEN_PER_ITER_BITS,
         "virtual times diverged from golden values: got {:?} s",
-        r.per_iter
-    );
-}
-
-/// An explicitly-attached empty fault schedule installs zero events, so
-/// the run must be indistinguishable — to the bit — from a fault-free one.
-#[test]
-fn empty_fault_schedule_is_bit_identical_to_golden() {
-    let r = measure_exchange(&golden_config().faults(FaultSchedule::new()));
-    let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(
-        bits, GOLDEN_PER_ITER_BITS,
-        "an empty fault schedule perturbed virtual time: got {:?} s",
-        r.per_iter
-    );
-}
-
-/// Feeding back precomputed placements (the sweep-caching path) must
-/// reproduce exactly what the in-run placement phase would have chosen.
-#[test]
-fn preplaced_placements_are_bit_identical_to_golden() {
-    let cfg = golden_config();
-    let pre = node_aware_placements(&cfg);
-    let r = measure_exchange(&cfg.preplaced(pre));
-    let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(
-        bits, GOLDEN_PER_ITER_BITS,
-        "precomputed placements diverged from the in-run placement phase: got {:?} s",
         r.per_iter
     );
 }
@@ -72,18 +45,23 @@ fn preplaced_placements_are_bit_identical_to_golden() {
 /// partitioned) has its virtual time pinned — not just `Methods::all()`.
 struct TierPin {
     name: &'static str,
-    /// Bit patterns of `ExchangeResult::per_iter`.
+    /// Bit patterns of `RunOutcome::per_iter`.
     per_iter: [u64; 2],
     /// `(metric id, histogram sum bits)` for `exchange/total_ps`, every
     /// `exchange/method_ps{method}` and every `exchange/phase_ps{phase}`.
     sums: &'static [(&'static str, u64)],
 }
 
-fn tier_config(name: &str) -> ExchangeConfig {
+fn tier_config(name: &str) -> JobSpec {
     let extent = weak_scaling_extent(750, 2 * RANKS_PER_NODE);
-    let base = ExchangeConfig::new(2, RANKS_PER_NODE, extent)
-        .iters(2)
-        .metrics(true);
+    let base = JobSpec::new(
+        "bench",
+        ClusterPreset::Summit { nodes: 2 },
+        RANKS_PER_NODE,
+        [extent; 3],
+    )
+    .iters(2)
+    .collect_metrics(true);
     match name {
         "staged" => base.methods(Methods::staged_only()),
         "consolidated" => base.methods(Methods::staged_only()).consolidate(true),
@@ -168,9 +146,11 @@ const TIER_PINS: &[TierPin] = &[
 /// The pinned quantities of one measured tier: `per_iter` bits and the
 /// `(metric id, histogram sum bits)` pairs, in `TierPin` field order.
 fn observe_tier(name: &str) -> (Vec<u64>, Vec<(String, u64)>) {
-    let r = measure_exchange(&tier_config(name));
+    let r = svc::execute(&tier_config(name), None);
     let per_iter = r.per_iter.iter().map(|v| v.to_bits()).collect();
-    let report = r.metrics.expect("metrics(true) captures a snapshot");
+    let report = r
+        .metrics
+        .expect("collect_metrics(true) captures a snapshot");
     let sums = report
         .entries()
         .iter()
@@ -214,8 +194,8 @@ fn every_transport_tier_matches_golden_bits() {
 
 #[test]
 fn metrics_collection_does_not_perturb_virtual_time() {
-    let plain = measure_exchange(&golden_config());
-    let metered = measure_exchange(&golden_config().metrics(true));
+    let plain = svc::execute(&golden_config(), None);
+    let metered = svc::execute(&golden_config().collect_metrics(true), None);
     let plain_bits: Vec<u64> = plain.per_iter.iter().map(|v| v.to_bits()).collect();
     let metered_bits: Vec<u64> = metered.per_iter.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
@@ -224,6 +204,6 @@ fn metrics_collection_does_not_perturb_virtual_time() {
     );
     assert!(
         metered.metrics.is_some(),
-        "metrics(true) should capture a registry snapshot"
+        "collect_metrics(true) should capture a registry snapshot"
     );
 }

@@ -14,8 +14,8 @@
 //! The pieces:
 //!
 //! - [`spec`] — the typed job description and its JSON wire format.
-//! - [`runner`] — the one spec→world construction path; the bench
-//!   harness delegates here too.
+//! - [`runner`] — the one spec→world construction path; the figure
+//!   binaries call it directly too.
 //! - [`service`] — bounded worker pool with weighted-fair (stride)
 //!   cross-tenant scheduling, admission control, per-job
 //!   timeout/cancellation, and panic isolation.
@@ -55,7 +55,7 @@ pub mod spec;
 pub mod store;
 
 pub use result::{JobResult, JobStatus};
-pub use runner::{execute, execute_with, RunHooks, RunOutcome, CANCEL_PANIC, POISON_PANIC};
+pub use runner::{execute, RunOutcome, CANCEL_PANIC, POISON_PANIC};
 pub use service::{JobHandle, Rejection, Service, ServiceConfig, ServiceStats};
 pub use spec::{ClusterPreset, FaultScenario, JobSpec};
 pub use store::{DigestGroup, ResultStore};

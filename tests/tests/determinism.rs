@@ -5,17 +5,17 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use stencil_bench::{measure_exchange, ExchangeConfig};
 use stencil_core::{DomainBuilder, Methods};
+use svc::{ClusterPreset, JobSpec};
 use topo::summit::summit_cluster;
 
 #[test]
 fn exchange_times_are_bit_identical_across_runs() {
     let run = || {
-        let cfg = ExchangeConfig::new(2, 6, 400)
+        let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [400; 3])
             .methods(Methods::all())
             .iters(3);
-        measure_exchange(&cfg).per_iter
+        svc::execute(&spec, None).per_iter
     };
     let a = run();
     let b = run();
@@ -25,11 +25,11 @@ fn exchange_times_are_bit_identical_across_runs() {
 #[test]
 fn cuda_aware_runs_are_deterministic_too() {
     let run = || {
-        let cfg = ExchangeConfig::new(2, 6, 400)
+        let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 2 }, 6, [400; 3])
             .methods(Methods::cuda_aware_only())
             .cuda_aware(true)
             .iters(2);
-        measure_exchange(&cfg).per_iter
+        svc::execute(&spec, None).per_iter
     };
     assert_eq!(run(), run());
 }
@@ -38,10 +38,10 @@ fn cuda_aware_runs_are_deterministic_too() {
 fn repeated_exchanges_take_identical_time() {
     // After the first exchange the system returns to quiescence, so every
     // following exchange must cost exactly the same virtual time.
-    let cfg = ExchangeConfig::new(1, 6, 500)
+    let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, 6, [500; 3])
         .methods(Methods::all())
         .iters(4);
-    let r = measure_exchange(&cfg);
+    let r = svc::execute(&spec, None);
     for w in r.per_iter.windows(2) {
         // identical up to f64 rounding of (wtime - wtime) at different
         // absolute offsets; the underlying picosecond durations are equal

@@ -97,13 +97,13 @@ fn metrics_do_not_change_virtual_time() {
 
 #[test]
 fn exchange_method_bytes_match_send_plans() {
-    // stencil-bench's harness plumbs ExchangeConfig::metrics through to the
-    // same registry; the per-method byte counters must be stable and
+    // svc::execute plumbs JobSpec::collect_metrics through to the same
+    // registry; the per-method byte counters must be stable and
     // consistent with the exchange count.
-    let cfg = stencil_bench::ExchangeConfig::new(1, 2, 48)
+    let spec = svc::JobSpec::new("bench", svc::ClusterPreset::Summit { nodes: 1 }, 2, [48; 3])
         .iters(2)
-        .metrics(true);
-    let r = stencil_bench::measure_exchange(&cfg);
+        .collect_metrics(true);
+    let r = svc::execute(&spec, None);
     let m = r.metrics.expect("metrics requested");
     let exchanges = m.counter("exchange", "exchanges", &[]);
     // 2 ranks x 2 iterations.

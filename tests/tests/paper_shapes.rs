@@ -2,19 +2,22 @@
 //! change to the simulator or the library breaks one of the headline
 //! shapes, these tests catch it before the full benchmark harness would.
 
-use stencil_bench::{measure_exchange, weak_scaling_extent, ExchangeConfig};
+use stencil_bench::weak_scaling_extent;
 use stencil_core::{Methods, PlacementStrategy};
+use svc::{ClusterPreset, JobSpec};
+
+/// A Summit job of `nodes` nodes, 6 ranks each, on a cube of `extent`,
+/// measured over 2 iterations.
+fn summit(nodes: usize, extent: u64) -> JobSpec {
+    JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3]).iters(2)
+}
 
 /// Fig. 12a: staged-only exchange gets faster as ranks per node grow.
 #[test]
 fn staged_improves_with_ranks_per_node() {
     let t = |rpn| {
-        measure_exchange(
-            &ExchangeConfig::new(1, rpn, 930)
-                .methods(Methods::staged_only())
-                .iters(2),
-        )
-        .mean
+        let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes: 1 }, rpn, [930; 3]);
+        svc::execute(&spec.methods(Methods::staged_only()).iters(2), None).mean
     };
     let (r1, r2, r6) = (t(1), t(2), t(6));
     assert!(
@@ -27,18 +30,8 @@ fn staged_improves_with_ranks_per_node() {
 /// on a single node (paper: ~6x at 6 ranks).
 #[test]
 fn specialization_beats_staged_single_node() {
-    let staged = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::staged_only())
-            .iters(2),
-    )
-    .mean;
-    let full = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::all())
-            .iters(2),
-    )
-    .mean;
+    let staged = svc::execute(&summit(1, 930).methods(Methods::staged_only()), None).mean;
+    let full = svc::execute(&summit(1, 930).methods(Methods::all()), None).mean;
     let speedup = staged / full;
     assert!(
         (4.0..12.0).contains(&speedup),
@@ -50,25 +43,12 @@ fn specialization_beats_staged_single_node() {
 /// CUDA-aware beats plain staged on a single node.
 #[test]
 fn cuda_aware_sits_between_staged_and_specialized_on_node() {
-    let staged = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::staged_only())
-            .iters(2),
-    )
-    .mean;
-    let ca = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::cuda_aware_only())
-            .cuda_aware(true)
-            .iters(2),
-    )
-    .mean;
-    let full = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::all())
-            .iters(2),
-    )
-    .mean;
+    let staged = svc::execute(&summit(1, 930).methods(Methods::staged_only()), None).mean;
+    let ca_spec = summit(1, 930)
+        .methods(Methods::cuda_aware_only())
+        .cuda_aware(true);
+    let ca = svc::execute(&ca_spec, None).mean;
+    let full = svc::execute(&summit(1, 930).methods(Methods::all()), None).mean;
     assert!(
         ca < staged,
         "CUDA-aware should beat staged on-node: {ca} vs {staged}"
@@ -82,18 +62,12 @@ fn cuda_aware_sits_between_staged_and_specialized_on_node() {
 /// Fig. 12a: enabling the kernel method on top of peer has little effect.
 #[test]
 fn kernel_method_is_marginal() {
-    let peer = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::staged_only().with_colocated().with_peer())
-            .iters(2),
+    let peer = svc::execute(
+        &summit(1, 930).methods(Methods::staged_only().with_colocated().with_peer()),
+        None,
     )
     .mean;
-    let kernel = measure_exchange(
-        &ExchangeConfig::new(1, 6, 930)
-            .methods(Methods::all())
-            .iters(2),
-    )
-    .mean;
+    let kernel = svc::execute(&summit(1, 930).methods(Methods::all()), None).mean;
     let delta = (peer - kernel).abs() / peer;
     assert!(
         delta < 0.15,
@@ -106,14 +80,13 @@ fn kernel_method_is_marginal() {
 #[test]
 fn node_aware_placement_beats_trivial() {
     let mk = |p| {
-        measure_exchange(
-            &ExchangeConfig::new(1, 6, 0)
-                .domain([1440, 1452, 700])
-                .methods(Methods::all())
-                .placement(p)
-                .iters(2),
-        )
-        .mean
+        let spec = JobSpec::new(
+            "bench",
+            ClusterPreset::Summit { nodes: 1 },
+            6,
+            [1440, 1452, 700],
+        );
+        svc::execute(&spec.methods(Methods::all()).placement(p).iters(2), None).mean
     };
     let aware = mk(PlacementStrategy::NodeAware);
     let trivial = mk(PlacementStrategy::Trivial);
@@ -130,12 +103,7 @@ fn node_aware_placement_beats_trivial() {
 fn weak_scaling_flattens() {
     let t = |nodes: usize| {
         let extent = weak_scaling_extent(750, nodes * 6);
-        measure_exchange(
-            &ExchangeConfig::new(nodes, 6, extent)
-                .methods(Methods::all())
-                .iters(2),
-        )
-        .mean
+        svc::execute(&summit(nodes, extent).methods(Methods::all()), None).mean
     };
     let (t1, t8, t16) = (t(1), t(8), t(16));
     assert!(t8 > t1, "off-node exchange must cost more than on-node");
@@ -152,23 +120,16 @@ fn weak_scaling_flattens() {
 fn cuda_aware_degrades_at_scale() {
     let ca = |nodes: usize| {
         let extent = weak_scaling_extent(750, nodes * 6);
-        measure_exchange(
-            &ExchangeConfig::new(nodes, 6, extent)
-                .methods(Methods::cuda_aware_only())
-                .cuda_aware(true)
-                .iters(2),
-        )
-        .mean
+        let spec = summit(nodes, extent)
+            .methods(Methods::cuda_aware_only())
+            .cuda_aware(true);
+        svc::execute(&spec, None).mean
     };
-    let staged8 = {
-        let extent = weak_scaling_extent(750, 8 * 6);
-        measure_exchange(
-            &ExchangeConfig::new(8, 6, extent)
-                .methods(Methods::staged_only())
-                .iters(2),
-        )
-        .mean
-    };
+    let staged8 = svc::execute(
+        &summit(8, weak_scaling_extent(750, 8 * 6)).methods(Methods::staged_only()),
+        None,
+    )
+    .mean;
     let (c1, c8) = (ca(1), ca(8));
     assert!(
         c8 > c1 * 2.0,
@@ -184,14 +145,7 @@ fn cuda_aware_degrades_at_scale() {
 /// nodes over the scaling region.
 #[test]
 fn strong_scaling_reduces_exchange_time() {
-    let t = |nodes: usize| {
-        measure_exchange(
-            &ExchangeConfig::new(nodes, 6, 1363)
-                .methods(Methods::all())
-                .iters(2),
-        )
-        .mean
-    };
+    let t = |nodes: usize| svc::execute(&summit(nodes, 1363).methods(Methods::all()), None).mean;
     let (t1, t4, t16) = (t(1), t(4), t(16));
     assert!(t4 < t1 * 6.0, "sanity");
     assert!(t16 < t4, "strong scaling 4 -> 16 nodes: {t4} -> {t16}");
