@@ -37,7 +37,7 @@ use gpusim::Buffer;
 use mpisim::{RankCtx, Request};
 
 use crate::dim3::{Boundary, Neighborhood};
-use crate::domain::DistributedDomain;
+use crate::domain::{alloc_locals, DistributedDomain, DomainSpec};
 use crate::empirical::{distance_from_measured, measure_node_bandwidths, DEFAULT_PROBE_BYTES};
 use crate::exchange::build_plans;
 use crate::local::LocalDomain;
@@ -542,6 +542,42 @@ pub fn resolve_node_placements(
         .collect()
 }
 
+/// Probe every node's bandwidths, all-gather the measured distance
+/// matrices, and solve every node's QAP against its own measurement
+/// (collective). The probe copies ride the same links a halo exchange
+/// would, so a degraded link shows in the matrices. Nodes can measure
+/// different matrices, and every rank must place every node identically
+/// (the exchange plan's partner resolution depends on it), hence the
+/// all-gather. Returns the placements and the gathered matrices
+/// (`[n * ranks_per_node]` is node `n`'s).
+pub(crate) fn probe_and_place_every_node(
+    ctx: &RankCtx,
+    part: &Partition,
+    spec: &DomainSpec,
+) -> (Vec<Placement>, Vec<Vec<Vec<f64>>>) {
+    let bw = measure_node_bandwidths(ctx, DEFAULT_PROBE_BYTES);
+    let d = distance_from_measured(&bw);
+    let all: Vec<Vec<Vec<f64>>> = ctx.all_gather_obj(ADAPT_BW_TAG, d);
+    // Solver-only work outside the event loop, in parallel across OS
+    // threads with a deterministic slot-ordered reduction. Inputs are
+    // identical on every rank, so the solves are too.
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let placements = resolve_node_placements(
+        part,
+        spec.neighborhood,
+        &spec.radius,
+        spec.quantities,
+        spec.elem_size,
+        spec.boundary,
+        &all,
+        ctx.ranks_per_node(),
+        threads,
+    );
+    (placements, all)
+}
+
 /// A candidate placement set with predicted QAP costs under the measured
 /// (degraded) distance matrices.
 struct Resolved {
@@ -660,38 +696,11 @@ impl DistributedDomain {
         AdaptOutcome::Skipped { reason }
     }
 
-    /// Probe every node, all-gather the measured matrices, re-solve every
-    /// node's QAP. The probe copies ride the same (degraded) links a halo
-    /// exchange would, so the matrices see the fault.
-    ///
-    /// Unlike the constructor's homogeneity shortcut (each rank probes only
-    /// its own node), the matrices are all-gathered so that under
-    /// *localized* degradation every rank still computes identical
-    /// placements for every node.
+    /// Probe every node and re-solve every node's QAP, then price the
+    /// current and the re-solved placements against the measured matrices.
     fn probe_and_resolve_global(&self, ctx: &RankCtx) -> Resolved {
         let rpn = ctx.ranks_per_node();
-        let bw = measure_node_bandwidths(ctx, DEFAULT_PROBE_BYTES);
-        let d = distance_from_measured(&bw);
-        let all: Vec<Vec<Vec<f64>>> = ctx.all_gather_obj(ADAPT_BW_TAG, d);
-
-        // Re-solve per node, in parallel across OS threads (solver-only
-        // work outside the event loop; deterministic slot-ordered
-        // reduction). Inputs are identical on every rank, so the solves
-        // are too.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let placements = resolve_node_placements(
-            &self.part,
-            self.spec.neighborhood,
-            &self.spec.radius,
-            self.spec.quantities,
-            self.spec.elem_size,
-            self.spec.boundary,
-            &all,
-            rpn,
-            threads,
-        );
+        let (placements, all) = probe_and_place_every_node(ctx, &self.part, &self.spec);
         let mut old_cost = 0.0;
         let mut new_cost = 0.0;
         for (n, pl) in placements.iter().enumerate() {
@@ -1057,29 +1066,7 @@ impl DistributedDomain {
         // already cleared by abandon_local_state (making this a no-op).
         self.free_plan_device_buffers(&machine);
         if self.locals.is_empty() {
-            let node = ctx.node();
-            let node_idx = self.part.node_from_linear(node);
-            for device in ctx.gpus() {
-                let local_gpu = machine.local_of(device);
-                let s = self.placements[node].subdomain_for_gpu[local_gpu];
-                let gpu_idx = self.part.gpu_from_linear(s);
-                let interior = self.part.gpu_box(node_idx, gpu_idx);
-                let local = ctx.sim().with_kernel(|k| {
-                    LocalDomain::new(
-                        &machine,
-                        k,
-                        node_idx,
-                        gpu_idx,
-                        interior,
-                        device,
-                        self.spec.quantities,
-                        self.spec.elem_size,
-                        self.spec.radius,
-                    )
-                });
-                self.locals
-                    .push(local.unwrap_or_else(|e| panic!("reallocating after respawn: {e}")));
-            }
+            self.locals = alloc_locals(ctx, &self.part, &self.placements, &self.spec);
         }
         self.plans = build_plans(ctx, &self.part, &self.placements, &self.locals, &self.spec);
     }
