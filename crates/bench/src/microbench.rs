@@ -64,15 +64,9 @@ impl Bench {
     }
 
     /// Attach a per-iteration byte count to subsequent [`Bench::run`]
-    /// calls so the summary line includes throughput. Cleared by passing
-    /// through [`Bench::clear_throughput`].
+    /// calls so the summary line includes throughput.
     pub fn throughput_bytes(&mut self, bytes: u64) {
         self.throughput_bytes = Some(bytes);
-    }
-
-    /// Stop reporting throughput for subsequent benchmarks.
-    pub fn clear_throughput(&mut self) {
-        self.throughput_bytes = None;
     }
 
     /// Time `f` over the configured number of samples (after one untimed

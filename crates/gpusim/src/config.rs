@@ -37,8 +37,6 @@ pub struct GpuCostModel {
     pub pack_bandwidth: f64,
     /// One-time cost of `cudaIpcOpenMemHandle` (setup phase only).
     pub ipc_open_overhead: SimDuration,
-    /// Cost of `cudaMalloc`/`cudaMallocHost` (setup phase only).
-    pub alloc_overhead: SimDuration,
     /// Device memory capacity per GPU, bytes.
     pub device_mem_limit: u64,
 }
@@ -51,7 +49,6 @@ impl Default for GpuCostModel {
             memcpy_latency: SimDuration::from_micros(6),
             pack_bandwidth: 350e9,
             ipc_open_overhead: SimDuration::from_micros(100),
-            alloc_overhead: SimDuration::from_micros(50),
             device_mem_limit: 16 << 30,
         }
     }

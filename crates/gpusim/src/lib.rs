@@ -4,8 +4,8 @@
 //! the CUDA object model and semantics the paper's stencil library is built
 //! on:
 //!
-//! * devices with bounded memory ([`GpuMachine::alloc_device`]);
-//! * pinned host buffers ([`GpuMachine::alloc_host_for`]);
+//! * devices with bounded memory ([`GpuMachine::alloc_device_untimed`]);
+//! * pinned host buffers ([`GpuMachine::alloc_host_untimed`]);
 //! * in-order [`Stream`]s with asynchronous memcpy (H2D/D2H/D2D/peer) and
 //!   kernel launches that contend for per-device engine bandwidth;
 //! * events and cross-stream synchronization
