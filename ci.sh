@@ -16,17 +16,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
-echo "==> cargo test"
+echo "==> cargo test (unit, integration and doctests)"
 cargo test --offline --workspace -q
-
-echo "==> cargo test --doc"
-cargo test --offline --workspace --doc -q
 
 echo "==> benchmark self-test (perfbench is its own workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
+
+echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes)"
+for b in fig11 fig12a fig12b fig12c fig13 ablation; do
+    ./target/release/$b --max-nodes 2 --iters 1 >/dev/null
+done
 
 echo "==> bench smoke (simperf --quick)"
 ./target/release/simperf --quick --json /tmp/simperf_smoke.json
