@@ -35,17 +35,14 @@
 //!
 //! `flapping-nic`, `straggler-gpu` and `cascading` are plain service jobs:
 //! a [`svc::JobSpec`] carrying the [`svc::FaultScenario`], measured clean
-//! and faulted by [`svc::execute`]. The adaptation scenarios drive their
-//! worlds through `stencil_bench::chaos`.
+//! and faulted by [`svc::execute`]. The adaptation scenarios are
+//! `stencil_bench::chaos::AdaptScenario`s, each run once per arm.
 //!
 //! Every scenario is driven by an explicit event table in virtual time —
 //! no randomness — so repeated runs are bit-identical.
 
 use faultsim::Scenario;
-use stencil_bench::chaos::{
-    degraded_fat_node_run, degraded_triad_run, heaviest_island_pair, kill_recovery_run,
-    RecoveryMode, TriadMode,
-};
+use stencil_bench::chaos::{heaviest_island_pair, AdaptScenario, Arm};
 use stencil_bench::{fmt_ms, write_metrics_json};
 use stencil_core::Partition;
 use svc::{ClusterPreset, FaultScenario, JobSpec};
@@ -123,8 +120,8 @@ fn main() {
     for scenario in &args.scenarios {
         match scenario {
             Scenario::None => println!("none: no faults injected, nothing to run"),
-            Scenario::DegradedTriad => degraded_triad(&args, &mut last_report),
-            Scenario::DegradedFatNode => degraded_fat_node(&args, &mut last_report),
+            Scenario::DegradedTriad => degraded_link(&args, false, &mut last_report),
+            Scenario::DegradedFatNode => degraded_link(&args, true, &mut last_report),
             Scenario::FlappingNic => flapping_nic(&args, &mut last_report),
             Scenario::StragglerGpu => straggler_gpu(&args, &mut last_report),
             Scenario::Cascading => cascading(&args, &mut last_report),
@@ -138,100 +135,63 @@ fn main() {
     }
 }
 
-/// The headline scenario: adaptation vs. no adaptation vs. fresh-optimal.
-fn degraded_triad(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport>) {
+/// The link-degradation scenarios: adaptation vs. no adaptation vs.
+/// fresh-optimal, on a Summit node or (`fat`) on a 12-GPU fat node, where
+/// placement and adaptive re-placement run on the heuristic rung of the
+/// solver ladder.
+fn degraded_link(args: &ChaosArgs, fat: bool, last_report: &mut Option<detsim::MetricsReport>) {
+    let depth = if fat { 352 } else { 350 };
     let domain = if args.quick {
-        [720, 726, 350]
+        [720, 726, depth]
     } else {
-        [1440, 1452, 700]
+        [1440, 1452, 2 * depth]
     };
-    let (warmup, measure) = (3, args.iters);
+    let (name, node, scenario) = if fat {
+        (
+            "degraded-fat-node",
+            "1 fat node (12 GPUs, 4 islands)",
+            AdaptScenario::degraded_fat_node(domain, 0.1),
+        )
+    } else {
+        (
+            "degraded-triad",
+            "1 Summit node",
+            AdaptScenario::degraded_triad(domain, 6, 0.1),
+        )
+    };
     println!(
-        "degraded-triad: busiest placed NVLink on 1 Summit node -> 10% bandwidth, domain {}x{}x{}",
+        "{name}: busiest placed NVLink on {node} -> 10% bandwidth, domain {}x{}x{}",
         domain[0], domain[1], domain[2]
     );
-    let no_adapt = degraded_triad_run(domain, 6, 0.1, warmup, measure, TriadMode::NoAdapt);
-    let adapt = degraded_triad_run(domain, 6, 0.1, warmup, measure, TriadMode::Adapt);
-    let fresh = degraded_triad_run(domain, 6, 0.1, warmup, measure, TriadMode::FreshOptimal);
+    let [no_adapt, adapt, fresh] = [Arm::NoAdapt, Arm::Overlapped, Arm::FreshOptimal]
+        .map(|arm| scenario.run(arm, 3, args.iters));
+    let adapted = adapt.adapted_node.is_some();
     println!(
         "  healthy placement, pre-fault : {}",
         fmt_ms(no_adapt.healthy_mean)
     );
     println!(
         "  stale placement,  post-fault : {}  ({:.2}x healthy)",
-        fmt_ms(no_adapt.degraded_mean),
-        no_adapt.degraded_mean / no_adapt.healthy_mean
+        fmt_ms(no_adapt.steady_mean),
+        no_adapt.steady_mean / no_adapt.healthy_mean
     );
     println!(
-        "  adaptive re-placement        : {}  (adapted: {})",
-        fmt_ms(adapt.degraded_mean),
-        adapt.adapted
-    );
-    println!(
-        "  fresh-optimal (lower bound)  : {}",
-        fmt_ms(fresh.degraded_mean)
-    );
-    println!(
-        "  adaptation recovers to {:.2}x fresh-optimal; not adapting costs {:.2}x",
-        adapt.degraded_mean / fresh.degraded_mean,
-        no_adapt.degraded_mean / adapt.degraded_mean
-    );
-    if args.validate {
-        assert!(adapt.adapted, "validate: adaptation failed to trigger");
-        assert!(
-            no_adapt.degraded_mean > adapt.degraded_mean,
-            "validate: adapting should beat the stale placement"
-        );
-        println!("  validate: OK");
-    }
-    if let Some(r) = adapt.metrics {
-        *last_report = Some(r);
-    }
-}
-
-/// The fat-node variant: 12 GPUs per node, so placement and adaptive
-/// re-placement run on the heuristic rung of the solver ladder.
-fn degraded_fat_node(args: &ChaosArgs, last_report: &mut Option<detsim::MetricsReport>) {
-    let domain = if args.quick {
-        [720, 726, 352]
-    } else {
-        [1440, 1452, 704]
-    };
-    let (warmup, measure) = (3, args.iters);
-    println!(
-        "degraded-fat-node: busiest placed NVLink on 1 fat node (12 GPUs, 4 islands) -> 10% bandwidth, domain {}x{}x{}",
-        domain[0], domain[1], domain[2]
-    );
-    let no_adapt = degraded_fat_node_run(domain, 0.1, warmup, measure, TriadMode::NoAdapt);
-    let adapt = degraded_fat_node_run(domain, 0.1, warmup, measure, TriadMode::Adapt);
-    let fresh = degraded_fat_node_run(domain, 0.1, warmup, measure, TriadMode::FreshOptimal);
-    println!(
-        "  healthy placement, pre-fault : {}",
-        fmt_ms(no_adapt.healthy_mean)
-    );
-    println!(
-        "  stale placement,  post-fault : {}  ({:.2}x healthy)",
-        fmt_ms(no_adapt.degraded_mean),
-        no_adapt.degraded_mean / no_adapt.healthy_mean
-    );
-    println!(
-        "  adaptive re-placement        : {}  (adapted: {})",
-        fmt_ms(adapt.degraded_mean),
-        adapt.adapted
+        "  adaptive re-placement        : {}  (adapted: {adapted})",
+        fmt_ms(adapt.steady_mean),
     );
     println!(
         "  fresh-optimal (lower bound)  : {}",
-        fmt_ms(fresh.degraded_mean)
+        fmt_ms(fresh.steady_mean)
     );
     println!(
         "  adaptation recovers to {:.2}x fresh-optimal; not adapting costs {:.2}x",
-        adapt.degraded_mean / fresh.degraded_mean,
-        no_adapt.degraded_mean / adapt.degraded_mean
+        adapt.steady_mean / fresh.steady_mean,
+        no_adapt.steady_mean / adapt.steady_mean
     );
     if args.validate {
-        assert!(adapt.adapted, "validate: adaptation failed to trigger");
+        assert!(adapted, "validate: adaptation failed to trigger");
         assert!(
-            no_adapt.degraded_mean > adapt.degraded_mean,
+            no_adapt.steady_mean > adapt.steady_mean,
             "validate: adapting should beat the stale placement"
         );
         println!("  validate: OK");
@@ -260,16 +220,14 @@ fn recovery(args: &ChaosArgs, oom: bool, last_report: &mut Option<detsim::Metric
         "{cause}, respawns 300us later; node 1's busiest NVLink -> 2%, inter-node switch -> 70%, domain {}x{}x{}",
         domain[0], domain[1], domain[2]
     );
-    let no_adapt = kill_recovery_run(domain, warmup, measure, RecoveryMode::NoAdapt, oom);
-    let stw = kill_recovery_run(
-        domain,
-        warmup,
-        measure,
-        RecoveryMode::StopTheWorldAdapt,
-        oom,
-    );
-    let ovl = kill_recovery_run(domain, warmup, measure, RecoveryMode::OverlappedAdapt, oom);
-    let fresh = kill_recovery_run(domain, warmup, measure, RecoveryMode::FreshOptimal, oom);
+    let scenario = AdaptScenario::kill_respawn(domain, oom);
+    let [no_adapt, stw, ovl, fresh] = [
+        Arm::NoAdapt,
+        Arm::StopTheWorld,
+        Arm::Overlapped,
+        Arm::FreshOptimal,
+    ]
+    .map(|arm| scenario.run(arm, warmup, measure));
     println!(
         "  healthy placement, pre-fault : {}",
         fmt_ms(no_adapt.healthy_mean)
@@ -305,12 +263,11 @@ fn recovery(args: &ChaosArgs, oom: bool, last_report: &mut Option<detsim::Metric
         stw.migrate_secs / ovl.migrate_secs
     );
     if args.validate {
+        let [no_adapt_adapted, stw_adapted, ovl_adapted] =
+            [&no_adapt, &stw, &ovl].map(|r| r.adapted_node.is_some());
         assert!(
-            !no_adapt.adapted && stw.adapted && ovl.adapted,
-            "validate: adaptation arms disagree (no_adapt {}, stw {}, ovl {})",
-            no_adapt.adapted,
-            stw.adapted,
-            ovl.adapted
+            !no_adapt_adapted && stw_adapted && ovl_adapted,
+            "validate: adaptation arms disagree (no_adapt {no_adapt_adapted}, stw {stw_adapted}, ovl {ovl_adapted})"
         );
         assert!(
             ovl.steady_mean <= 1.10 * fresh.steady_mean,

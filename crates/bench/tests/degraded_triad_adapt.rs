@@ -17,7 +17,7 @@
 //! The contract: adaptation recovers exchange time to within 10% of
 //! fresh-optimal, and not adapting is measurably slower.
 
-use stencil_bench::chaos::{degraded_fat_node_run, degraded_triad_run, TriadMode, TriadRun};
+use stencil_bench::chaos::{AdaptScenario, Arm, ArmRun};
 
 const DOMAIN: [u64; 3] = [720, 726, 350];
 const FAT_DOMAIN: [u64; 3] = [720, 726, 352];
@@ -25,8 +25,8 @@ const FACTOR: f64 = 0.1;
 const WARMUP: usize = 3;
 const MEASURE: usize = 3;
 
-/// `(healthy_mean, degraded_mean)` bit patterns per mode, in `NoAdapt`,
-/// `Adapt`, `FreshOptimal` order. Captured before the adaptation worlds
+/// `(healthy_mean, steady_mean)` bit patterns per arm, in `NoAdapt`,
+/// `Overlapped`, `FreshOptimal` order. Captured before the adaptation worlds
 /// placed themselves; any drift means the scenario's placement, probes or
 /// allocations changed.
 const TRIAD_PINS: [(u64, u64); 3] = [
@@ -43,58 +43,62 @@ const FAT_NODE_PINS: [(u64, u64); 3] = [
     (0x3f426db38dbcbbc0, 0x3f426db38dbcbbc0),
 ];
 
-fn assert_pinned(scenario: &str, runs: [&TriadRun; 3], pins: [(u64, u64); 3]) {
-    let bits = runs.map(|r| (r.healthy_mean.to_bits(), r.degraded_mean.to_bits()));
+/// The arms these scenarios compare, in pin order.
+const ARMS: [Arm; 3] = [Arm::NoAdapt, Arm::Overlapped, Arm::FreshOptimal];
+
+fn assert_pinned(scenario: &str, runs: [&ArmRun; 3], pins: [(u64, u64); 3]) {
+    let bits = runs.map(|r| (r.healthy_mean.to_bits(), r.steady_mean.to_bits()));
     assert_eq!(
         bits, pins,
-        "{scenario}: (healthy, degraded) bits of NoAdapt/Adapt/FreshOptimal drifted"
+        "{scenario}: (healthy, steady) bits of NoAdapt/Overlapped/FreshOptimal drifted"
     );
 }
 
 #[test]
 fn adaptive_replacement_recovers_to_fresh_optimal() {
-    let no_adapt = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::NoAdapt);
-    let adapt = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::Adapt);
-    let fresh = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::FreshOptimal);
+    let triad = AdaptScenario::degraded_triad(DOMAIN, 6, FACTOR);
+    let [no_adapt, adapt, fresh] = ARMS.map(|arm| triad.run(arm, WARMUP, MEASURE));
     assert_pinned("degraded-triad", [&no_adapt, &adapt, &fresh], TRIAD_PINS);
-    let fat = [
-        TriadMode::NoAdapt,
-        TriadMode::Adapt,
-        TriadMode::FreshOptimal,
-    ]
-    .map(|mode| degraded_fat_node_run(FAT_DOMAIN, FACTOR, WARMUP, MEASURE, mode));
+    let fat_node = AdaptScenario::degraded_fat_node(FAT_DOMAIN, FACTOR);
+    let fat = ARMS.map(|arm| fat_node.run(arm, WARMUP, MEASURE));
     assert_pinned(
         "degraded-fat-node",
         [&fat[0], &fat[1], &fat[2]],
         FAT_NODE_PINS,
     );
 
-    assert!(!no_adapt.adapted, "the control arm must not adapt");
-    assert!(adapt.adapted, "the monitor failed to trigger re-placement");
+    assert!(
+        no_adapt.adapted_node.is_none(),
+        "the control arm must not adapt"
+    );
+    assert!(
+        adapt.adapted_node.is_some(),
+        "the monitor failed to trigger re-placement"
+    );
 
     // The fault bites: the stale placement is much slower than healthy.
     assert!(
-        no_adapt.degraded_mean > 1.5 * no_adapt.healthy_mean,
+        no_adapt.steady_mean > 1.5 * no_adapt.healthy_mean,
         "degradation had no bite: healthy {:.3e} s vs degraded {:.3e} s",
         no_adapt.healthy_mean,
-        no_adapt.degraded_mean
+        no_adapt.steady_mean
     );
 
     // Adaptation recovers to within 10% of the fresh-optimal rebuild.
     assert!(
-        adapt.degraded_mean <= 1.10 * fresh.degraded_mean,
+        adapt.steady_mean <= 1.10 * fresh.steady_mean,
         "adaptation did not recover: adapted {:.3e} s vs fresh-optimal {:.3e} s ({:.2}x)",
-        adapt.degraded_mean,
-        fresh.degraded_mean,
-        adapt.degraded_mean / fresh.degraded_mean
+        adapt.steady_mean,
+        fresh.steady_mean,
+        adapt.steady_mean / fresh.steady_mean
     );
 
     // And not adapting is measurably slower than adapting.
     assert!(
-        no_adapt.degraded_mean > 1.2 * adapt.degraded_mean,
+        no_adapt.steady_mean > 1.2 * adapt.steady_mean,
         "no-adaptation should be measurably slower: stale {:.3e} s vs adapted {:.3e} s",
-        no_adapt.degraded_mean,
-        adapt.degraded_mean
+        no_adapt.steady_mean,
+        adapt.steady_mean
     );
 }
 
@@ -102,17 +106,18 @@ fn adaptive_replacement_recovers_to_fresh_optimal() {
 /// migration, plan rebuild — is deterministic: bit-identical across runs.
 #[test]
 fn adaptive_replacement_is_bit_identical_across_runs() {
-    let a = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::Adapt);
-    let b = degraded_triad_run(DOMAIN, 6, FACTOR, WARMUP, MEASURE, TriadMode::Adapt);
-    assert_eq!(a.adapted, b.adapted);
+    let triad = AdaptScenario::degraded_triad(DOMAIN, 6, FACTOR);
+    let a = triad.run(Arm::Overlapped, WARMUP, MEASURE);
+    let b = triad.run(Arm::Overlapped, WARMUP, MEASURE);
+    assert_eq!(a.adapted_node.is_some(), b.adapted_node.is_some());
     assert_eq!(
         a.healthy_mean.to_bits(),
         b.healthy_mean.to_bits(),
         "pre-fault times diverged between identical runs"
     );
     assert_eq!(
-        a.degraded_mean.to_bits(),
-        b.degraded_mean.to_bits(),
+        a.steady_mean.to_bits(),
+        b.steady_mean.to_bits(),
         "post-adaptation times diverged between identical runs"
     );
 }

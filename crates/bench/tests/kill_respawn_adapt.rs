@@ -2,7 +2,7 @@
 //! bench's `kill-respawn` scenario, pinned down as assertions).
 //!
 //! Two Summit nodes, six ranks. Mid-run, one correlated fault: rank 4
-//! dies, node 1's busiest placed NVLink drops to 10% of nominal, and the
+//! dies, node 1's busiest placed NVLink drops to 2% of nominal, and the
 //! inter-node switch to 70%. The rank respawns 300 virtual µs later with
 //! its device data gone and rejoins over re-handshaked channels; the
 //! placement is now wrong for the degraded fabric. Four runs of the
@@ -21,15 +21,15 @@
 //! the stop-the-world reaction costs measurably more downtime than the
 //! overlapped one.
 
-use stencil_bench::chaos::{kill_recovery_run, RecoveryMode, RecoveryRun};
+use stencil_bench::chaos::{AdaptScenario, Arm, ArmRun};
 
 const DOMAIN: [u64; 3] = [720, 726, 350];
 const WARMUP: usize = 3;
 const MEASURE: usize = 3;
 
 /// `(healthy_mean, steady_mean, migrate_secs)` bit patterns and
-/// `adapted_node` per mode, in `NoAdapt`, `StopTheWorldAdapt`,
-/// `OverlappedAdapt`, `FreshOptimal` order. Captured before the recovery
+/// `adapted_node` per arm, in `NoAdapt`, `StopTheWorld`, `Overlapped`,
+/// `FreshOptimal` order. Captured before the recovery
 /// worlds placed themselves; any drift means the scenario's placement,
 /// probes, allocations or rejoin changed.
 type RecoveryPin = ((u64, u64, u64), Option<Option<usize>>);
@@ -46,7 +46,7 @@ const RECOVERY_PINS: [RecoveryPin; 4] = [
     ((0x3f5d66f2abb1a00b, 0x3f5d66f2abb1a00b, 0), None),
 ];
 
-fn pin_of(r: &RecoveryRun) -> RecoveryPin {
+fn pin_of(r: &ArmRun) -> RecoveryPin {
     (
         (
             r.healthy_mean.to_bits(),
@@ -59,31 +59,32 @@ fn pin_of(r: &RecoveryRun) -> RecoveryPin {
 
 #[test]
 fn overlapped_recovery_beats_stop_the_world_and_no_adapt() {
-    let no_adapt = kill_recovery_run(DOMAIN, WARMUP, MEASURE, RecoveryMode::NoAdapt, false);
-    let stw = kill_recovery_run(
-        DOMAIN,
-        WARMUP,
-        MEASURE,
-        RecoveryMode::StopTheWorldAdapt,
-        false,
-    );
-    let ovl = kill_recovery_run(
-        DOMAIN,
-        WARMUP,
-        MEASURE,
-        RecoveryMode::OverlappedAdapt,
-        false,
-    );
-    let fresh = kill_recovery_run(DOMAIN, WARMUP, MEASURE, RecoveryMode::FreshOptimal, false);
+    let scenario = AdaptScenario::kill_respawn(DOMAIN, false);
+    let [no_adapt, stw, ovl, fresh] = [
+        Arm::NoAdapt,
+        Arm::StopTheWorld,
+        Arm::Overlapped,
+        Arm::FreshOptimal,
+    ]
+    .map(|arm| scenario.run(arm, WARMUP, MEASURE));
     assert_eq!(
         [&no_adapt, &stw, &ovl, &fresh].map(pin_of),
         RECOVERY_PINS,
         "kill-respawn: pinned bits or adapted node drifted"
     );
 
-    assert!(!no_adapt.adapted, "the control arm must not adapt");
-    assert!(stw.adapted, "stop-the-world arm failed to trigger");
-    assert!(ovl.adapted, "overlapped arm failed to trigger");
+    assert!(
+        no_adapt.adapted_node.is_none(),
+        "the control arm must not adapt"
+    );
+    assert!(
+        stw.adapted_node.is_some(),
+        "stop-the-world arm failed to trigger"
+    );
+    assert!(
+        ovl.adapted_node.is_some(),
+        "overlapped arm failed to trigger"
+    );
     assert_eq!(
         ovl.adapted_node,
         Some(Some(1)),
@@ -138,21 +139,10 @@ fn overlapped_recovery_beats_stop_the_world_and_no_adapt() {
 /// deterministic: bit-identical across runs.
 #[test]
 fn kill_respawn_recovery_is_bit_identical_across_runs() {
-    let a = kill_recovery_run(
-        DOMAIN,
-        WARMUP,
-        MEASURE,
-        RecoveryMode::OverlappedAdapt,
-        false,
-    );
-    let b = kill_recovery_run(
-        DOMAIN,
-        WARMUP,
-        MEASURE,
-        RecoveryMode::OverlappedAdapt,
-        false,
-    );
-    assert_eq!(a.adapted, b.adapted);
+    let scenario = AdaptScenario::kill_respawn(DOMAIN, false);
+    let a = scenario.run(Arm::Overlapped, WARMUP, MEASURE);
+    let b = scenario.run(Arm::Overlapped, WARMUP, MEASURE);
+    assert_eq!(a.adapted_node.is_some(), b.adapted_node.is_some());
     assert_eq!(a.adapted_node, b.adapted_node);
     assert_eq!(
         a.healthy_mean.to_bits(),
@@ -172,14 +162,18 @@ fn kill_respawn_recovery_is_bit_identical_across_runs() {
 }
 
 /// The OOM flavor: the kill is a device out-of-memory event. The victim's
-/// allocations fail while the device is shrunk (asserted inside the
-/// harness), memory is restored before the respawn, and recovery proceeds
-/// identically.
+/// device memory limit is shrunk to 5% of nominal while its rank is down
+/// (asserted inside the harness), memory is restored before the respawn,
+/// and recovery proceeds identically.
 #[test]
 fn oom_respawn_recovers_like_kill_respawn() {
-    let ovl = kill_recovery_run(DOMAIN, WARMUP, MEASURE, RecoveryMode::OverlappedAdapt, true);
-    let fresh = kill_recovery_run(DOMAIN, WARMUP, MEASURE, RecoveryMode::FreshOptimal, true);
-    assert!(ovl.adapted, "OOM arm failed to trigger adaptation");
+    let scenario = AdaptScenario::kill_respawn(DOMAIN, true);
+    let ovl = scenario.run(Arm::Overlapped, WARMUP, MEASURE);
+    let fresh = scenario.run(Arm::FreshOptimal, WARMUP, MEASURE);
+    assert!(
+        ovl.adapted_node.is_some(),
+        "OOM arm failed to trigger adaptation"
+    );
     assert!(
         ovl.steady_mean <= 1.10 * fresh.steady_mean,
         "OOM recovery did not reach fresh-optimal: {:.3e} s vs {:.3e} s",

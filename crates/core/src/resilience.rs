@@ -28,9 +28,8 @@
 //! branch — there is no coordinator and no races.
 //!
 //! Rank failure (the shrink-or-respawn contract of `mpisim`) is handled by
-//! [`DistributedDomain::abandon_local_state`] on the victim and
-//! [`DistributedDomain::rejoin_after_respawn`] on the whole world; see
-//! `docs/RESILIENCE.md` for the protocol.
+//! one collective call, [`DistributedDomain::rejoin_after_respawn`], on
+//! every rank of the world; see `docs/RESILIENCE.md` for the protocol.
 
 use detsim::{Completion, LinkId};
 use gpusim::Buffer;
@@ -95,7 +94,6 @@ pub enum AdaptScope {
 ///     .threshold(1.3)
 ///     .warmup_windows(2)
 ///     .hysteresis_windows(3)
-///     .min_benefit(0.05)
 ///     .mode(MigrationMode::Overlapped)
 ///     .scope(AdaptScope::Localized);
 /// let monitor = policy.monitor();
@@ -106,7 +104,6 @@ pub struct AdaptPolicy {
     pub(crate) threshold: f64,
     pub(crate) warmup_windows: usize,
     pub(crate) hysteresis_windows: usize,
-    pub(crate) min_benefit: f64,
     pub(crate) mode: MigrationMode,
     pub(crate) scope: AdaptScope,
 }
@@ -117,7 +114,6 @@ impl Default for AdaptPolicy {
             threshold: 1.25,
             warmup_windows: 3,
             hysteresis_windows: 1,
-            min_benefit: 0.0,
             mode: MigrationMode::Overlapped,
             scope: AdaptScope::Localized,
         }
@@ -126,8 +122,8 @@ impl Default for AdaptPolicy {
 
 impl AdaptPolicy {
     /// The default policy: threshold 1.25×, 3 warmup windows, no
-    /// hysteresis (react on the first degraded window), no benefit floor,
-    /// overlapped migration, localized re-solve.
+    /// hysteresis (react on the first degraded window), overlapped
+    /// migration, localized re-solve.
     pub fn new() -> AdaptPolicy {
         AdaptPolicy::default()
     }
@@ -154,15 +150,6 @@ impl AdaptPolicy {
     pub fn hysteresis_windows(mut self, h: usize) -> Self {
         assert!(h >= 1, "need at least one hysteresis window");
         self.hysteresis_windows = h;
-        self
-    }
-
-    /// Minimum predicted relative gain `(old_cost - new_cost) / old_cost`
-    /// of the re-solved placement required to migrate. `0.0` migrates on
-    /// any strict improvement.
-    pub fn min_benefit(mut self, b: f64) -> Self {
-        assert!((0.0..1.0).contains(&b), "benefit floor must be in [0, 1)");
-        self.min_benefit = b;
         self
     }
 
@@ -197,12 +184,13 @@ pub enum SkipReason {
         /// Windows required by the policy.
         required: usize,
     },
-    /// A re-solve ran but the predicted gain is below the policy's floor.
+    /// A re-solve ran and found a different placement, but predicts it
+    /// costs more than the current one (possible on the heuristic rung,
+    /// whose solve is not exact).
     BelowBenefit {
-        /// Predicted relative gain of the new placement.
+        /// Predicted relative gain `(old - new) / old` of the new
+        /// placement; negative.
         predicted_gain: f64,
-        /// The policy's `min_benefit`.
-        required: f64,
     },
     /// A re-solve ran and the measured substrate still prefers the
     /// current placement (typical when the degradation is inter-node —
@@ -287,7 +275,7 @@ struct LinkWatch {
 }
 
 /// How dominant a node's busiest-link fraction must be over the runner-up
-/// for [`HealthMonitor::suspect_node`] to call it conclusive. The window
+/// for `HealthMonitor::suspect_node` to call it conclusive. The window
 /// length cancels in the ratio, so the test is insensitive to idle gaps
 /// (e.g. a respawn down-window) stretching the checkpoint interval.
 const LOCALIZE_DOMINANCE: f64 = 2.0;
@@ -443,7 +431,7 @@ impl HealthMonitor {
     /// immune to idle gaps stretching the window. Returns `None` when no
     /// node dominates (uniform load, or the degradation is inter-node —
     /// only intra-node links are watched); ties take the lower node index.
-    pub fn suspect_node(&self) -> Option<usize> {
+    fn suspect_node(&self) -> Option<usize> {
         let w = self.watch.as_ref()?;
         let mut best = 0usize;
         let mut runner_up: f64 = 0.0;
@@ -468,19 +456,14 @@ impl HealthMonitor {
         self.streak = 0;
     }
 
-    /// Discard the baseline and re-warm. Call after an adaptation: the
+    /// Discard the baseline and re-warm, after an adaptation: the
     /// post-migration exchange time is a new normal, and comparing it
     /// against the pre-fault baseline would re-flag a healthy system.
-    pub fn rebaseline(&mut self) {
+    fn rebaseline(&mut self) {
         self.warm_sum = 0.0;
         self.warm_n = 0;
         self.baseline_ps = None;
         self.streak = 0;
-    }
-
-    /// The warm baseline mean in picoseconds, once established.
-    pub fn baseline_ps(&self) -> Option<f64> {
-        self.baseline_ps
     }
 }
 
@@ -602,7 +585,7 @@ impl DistributedDomain {
     ///    suspect, only that node re-probes and re-solves (its first rank
     ///    broadcasts the result); otherwise every node does.
     /// 4. Unchanged assignment → [`SkipReason::UnchangedPlacement`];
-    ///    predicted gain below `min_benefit` → [`SkipReason::BelowBenefit`].
+    ///    negative predicted gain → [`SkipReason::BelowBenefit`].
     /// 5. Migrate per [`MigrationMode`], rebuild plans, rebaseline the
     ///    monitor, return [`AdaptOutcome::Migrated`].
     ///
@@ -651,14 +634,8 @@ impl DistributedDomain {
         } else {
             0.0
         };
-        if predicted_gain < policy.min_benefit {
-            return self.skip(
-                ctx,
-                SkipReason::BelowBenefit {
-                    predicted_gain,
-                    required: policy.min_benefit,
-                },
-            );
+        if predicted_gain < 0.0 {
+            return self.skip(ctx, SkipReason::BelowBenefit { predicted_gain });
         }
         let quantities = resolved
             .placements
@@ -1035,25 +1012,14 @@ impl DistributedDomain {
         }
     }
 
-    /// A killed rank's teardown (call when `ctx.is_alive(ctx.rank())`
-    /// turns false): free this rank's device arrays and plan staging —
-    /// the simulated process died, its device memory is reclaimed — but
-    /// keep the placement tables, which are world-global knowledge the
-    /// respawned process re-derives. Local, not collective. The domain is
-    /// unusable until [`DistributedDomain::rejoin_after_respawn`].
-    pub fn abandon_local_state(&mut self, ctx: &RankCtx) {
-        let machine = ctx.machine().clone();
-        for old in std::mem::take(&mut self.locals) {
-            for a in &old.arrays {
-                machine.free_device(a);
-            }
-        }
-        self.free_plan_device_buffers(&machine);
-    }
-
-    /// Rejoin after a kill/respawn cycle (collective over the *whole*
-    /// world, once it is whole again — gate on `ctx.await_all_alive()`):
-    /// the respawned rank reallocates its subdomains per the current
+    /// The domain half of the shrink-or-respawn protocol (collective over
+    /// the *whole* world, dead ranks included; call once the kill instant
+    /// has passed). A killed rank frees its device arrays and plan staging
+    /// — the simulated process died, its device memory is reclaimed — but
+    /// keeps the placement tables, which are world-global knowledge the
+    /// respawned process re-derives, and waits for its respawn; survivors
+    /// wait for the world to be whole again. After a barrier, the
+    /// respawned rank reallocates its subdomains per the current
     /// placements (contents are fresh — a died process's data is gone;
     /// checkpoint/restart is the application's concern), survivors drop
     /// their stale plans (they reference revoked channels and the dead
@@ -1062,8 +1028,21 @@ impl DistributedDomain {
     /// communicator revocation made room for.
     pub fn rejoin_after_respawn(&mut self, ctx: &RankCtx) {
         let machine = ctx.machine().clone();
+        let me = ctx.rank();
+        if !ctx.is_alive(me) {
+            for old in std::mem::take(&mut self.locals) {
+                for a in &old.arrays {
+                    machine.free_device(a);
+                }
+            }
+            self.free_plan_device_buffers(&machine);
+            ctx.await_respawn(me);
+        } else {
+            ctx.await_all_alive();
+        }
+        ctx.barrier();
         // Survivors still hold pre-kill plans; the respawned rank's were
-        // already cleared by abandon_local_state (making this a no-op).
+        // already cleared above (making this a no-op).
         self.free_plan_device_buffers(&machine);
         if self.locals.is_empty() {
             self.locals = alloc_locals(ctx, &self.part, &self.placements, &self.spec);
