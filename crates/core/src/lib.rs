@@ -88,7 +88,6 @@ pub use domain::{DistributedDomain, DomainBuilder, DomainSpec};
 pub use exchange::{ExchangeHandle, ExchangeTiming};
 pub use local::LocalDomain;
 pub use method::{select, Method, Methods, PairCaps};
-pub use overlap::StepTiming;
 pub use partition::Partition;
 pub use placement::{Placement, PlacementStrategy};
 pub use radius::Radius;

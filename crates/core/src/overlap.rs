@@ -23,26 +23,10 @@
 //! `quantities * elem_size * (1 + stencil points reread from cache misses)`;
 //! the absolute value only scales the compute/communication ratio).
 
-use detsim::SimDuration;
 use mpisim::RankCtx;
 
 use crate::domain::DistributedDomain;
 use crate::local::LocalDomain;
-
-/// Timing breakdown of one [`DistributedDomain::step_sequential`] /
-/// [`DistributedDomain::step_overlapped`] iteration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepTiming {
-    /// Wall time of the whole step (exchange + compute).
-    pub total: SimDuration,
-    /// Time until the exchange itself had fully drained (in the overlapped
-    /// variant this includes interior compute running concurrently).
-    pub exchange_done: SimDuration,
-    /// Cells (across this rank's subdomains) updatable without halo data.
-    pub interior_cells: u64,
-    /// Cells whose stencil reaches into the halo.
-    pub boundary_cells: u64,
-}
 
 /// Split a subdomain's cells into halo-independent interior and
 /// halo-dependent boundary counts.
@@ -61,26 +45,14 @@ fn split_cells(l: &LocalDomain) -> (u64, u64) {
 impl DistributedDomain {
     /// One non-overlapped time step: full halo exchange, then a single
     /// full-volume stencil update per subdomain.
-    pub fn step_sequential(&self, ctx: &RankCtx, bytes_per_cell: u64) -> StepTiming {
-        let t0 = ctx.sim().now();
+    pub fn step_sequential(&self, ctx: &RankCtx, bytes_per_cell: u64) {
         self.exchange(ctx);
-        let exchange_done = ctx.sim().now().since(t0);
-        let mut interior_cells = 0;
-        let mut boundary_cells = 0;
         for l in self.locals() {
             let (i, b) = split_cells(l);
-            interior_cells += i;
-            boundary_cells += b;
             l.launch_compute(ctx.sim(), "stencil", (i + b) * bytes_per_cell, None);
         }
         for l in self.locals() {
             l.sync_compute(ctx.sim());
-        }
-        StepTiming {
-            total: ctx.sim().now().since(t0),
-            exchange_done,
-            interior_cells,
-            boundary_cells,
         }
     }
 
@@ -88,21 +60,15 @@ impl DistributedDomain {
     /// exchange is in flight; the boundary update follows once halos have
     /// been unpacked. Delivered halo bytes are identical to
     /// [`Self::step_sequential`].
-    pub fn step_overlapped(&self, ctx: &RankCtx, bytes_per_cell: u64) -> StepTiming {
-        let t0 = ctx.sim().now();
+    pub fn step_overlapped(&self, ctx: &RankCtx, bytes_per_cell: u64) {
         let handle = self.exchange_start(ctx);
-        let mut interior_cells = 0;
-        let mut boundary_cells = 0;
         for l in self.locals() {
-            let (i, b) = split_cells(l);
-            interior_cells += i;
-            boundary_cells += b;
+            let (i, _) = split_cells(l);
             if i > 0 {
                 l.launch_compute(ctx.sim(), "stencil-interior", i * bytes_per_cell, None);
             }
         }
         self.exchange_finish(ctx, handle);
-        let exchange_done = ctx.sim().now().since(t0);
         for l in self.locals() {
             let (_, b) = split_cells(l);
             if b > 0 {
@@ -111,12 +77,6 @@ impl DistributedDomain {
         }
         for l in self.locals() {
             l.sync_compute(ctx.sim());
-        }
-        StepTiming {
-            total: ctx.sim().now().since(t0),
-            exchange_done,
-            interior_cells,
-            boundary_cells,
         }
     }
 }

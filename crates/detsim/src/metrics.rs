@@ -104,17 +104,6 @@ impl Gauge {
     pub fn add(&mut self, delta: f64) {
         self.set(self.current + delta);
     }
-
-    /// Combine with another gauge: levels add (they measure disjoint
-    /// populations), maxima take the larger. Note the merged `max` is a lower
-    /// bound on the true combined high-water mark — concurrent peaks in the
-    /// two sources cannot be reconstructed after the fact.
-    pub fn merge(&mut self, other: &Gauge) {
-        self.current += other.current;
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
 }
 
 /// Weighted observations: count, total weight, weighted sum, min/max, and
@@ -193,24 +182,6 @@ impl Histogram {
             self.sum / self.weight
         } else {
             0.0
-        }
-    }
-
-    /// Combine with another histogram over a disjoint set of observations.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.weight += other.weight;
-        self.sum += other.sum;
-        if other.count > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
-        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += ob;
         }
     }
 
@@ -652,19 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_merge_math() {
-        let mut a = Gauge::default();
-        a.set(2.0);
-        a.set(1.0);
-        let mut b = Gauge::default();
-        b.set(7.0);
-        b.set(3.0);
-        a.merge(&b);
-        assert_eq!(a.current, 4.0);
-        assert_eq!(a.max, 7.0);
-    }
-
-    #[test]
     fn histogram_stats_and_buckets() {
         let mut h = Histogram::default();
         h.observe(0.5); // bucket 0
@@ -690,33 +648,6 @@ mod tests {
         assert_eq!(Histogram::bucket_of(2.1), 2);
         assert_eq!(Histogram::bucket_of(4.0), 2);
         assert_eq!(Histogram::bucket_of(f64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_merge_math() {
-        let mut a = Histogram::default();
-        a.observe(1.0);
-        a.observe(8.0);
-        let mut b = Histogram::default();
-        b.observe_weighted(16.0, 3.0);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.weight, 5.0);
-        assert_eq!(merged.sum, 1.0 + 8.0 + 48.0);
-        assert_eq!(merged.min, 1.0);
-        assert_eq!(merged.max, 16.0);
-        // merging an empty histogram changes nothing
-        let before = merged.clone();
-        merged.merge(&Histogram::default());
-        assert_eq!(merged, before);
-        // merge is symmetric on these disjoint observations
-        let mut other_way = b.clone();
-        other_way.merge(&a);
-        assert_eq!(other_way.count, merged.count);
-        assert_eq!(other_way.weight, merged.weight);
-        assert_eq!(other_way.min, merged.min);
-        assert_eq!(other_way.max, merged.max);
     }
 
     #[test]

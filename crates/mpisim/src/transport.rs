@@ -1083,12 +1083,7 @@ impl MpiState {
             }
         }
         {
-            let index_len = {
-                let mut index = self.chan_index.borrow_mut();
-                let n = index.len();
-                index.clear();
-                n
-            };
+            self.chan_index.borrow_mut().clear();
             let channels = self.channels.borrow();
             for chan in channels.iter() {
                 let mut st = chan.borrow_mut();
@@ -1106,7 +1101,6 @@ impl MpiState {
                     }
                 }
             }
-            let _ = index_len;
         }
         {
             let mut q = self.objs.borrow_mut();

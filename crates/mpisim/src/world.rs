@@ -121,11 +121,6 @@ pub struct WorldReport {
     pub elapsed: SimDuration,
     /// Bytes injected into the network by each node (diagnostics).
     pub nic_injected: Vec<u64>,
-    /// Peak utilization of each node's injection link (diagnostics; > 1.0
-    /// would indicate a flow-model bug).
-    pub nic_peak_util: Vec<f64>,
-    /// Load-integral bytes for each node's injection link (diagnostics).
-    pub nic_busy_bytes: Vec<f64>,
     /// Number of simulator events executed (diagnostics).
     pub executed_events: u64,
     /// Chrome trace JSON, if tracing was enabled.
@@ -211,20 +206,6 @@ where
         nic_injected: if machine.num_nodes() > 1 {
             (0..machine.num_nodes())
                 .map(|n| k.link_delivered(machine.fabric().injection_link(n)))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        nic_peak_util: if machine.num_nodes() > 1 {
-            (0..machine.num_nodes())
-                .map(|n| k.link_peak_utilization(machine.fabric().injection_link(n)))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        nic_busy_bytes: if machine.num_nodes() > 1 {
-            (0..machine.num_nodes())
-                .map(|n| k.link_busy_bytes(machine.fabric().injection_link(n)))
                 .collect()
         } else {
             Vec::new()
