@@ -33,6 +33,9 @@ struct DeviceState {
     /// device "coming back sick" with less usable HBM). `None` means the
     /// configured limit applies.
     mem_limit: Cell<Option<u64>>,
+    /// Streams on this device so far, default included: the per-device
+    /// index that names the next one.
+    streams: Cell<usize>,
 }
 
 pub(crate) struct MachineInner {
@@ -42,9 +45,6 @@ pub(crate) struct MachineInner {
     pub mode: DataMode,
     devices: Vec<DeviceState>,
     pub(crate) streams: RefCell<Vec<StreamInfo>>,
-    /// Stream-registry indices per device (default stream first), so
-    /// per-device lookups don't scan the whole registry.
-    streams_by_device: RefCell<Vec<Vec<usize>>>,
     peer_enabled: RefCell<HashSet<(usize, usize)>>,
 }
 
@@ -70,7 +70,6 @@ impl GpuMachine {
         let fabric = Fabric::build(kernel, cluster);
         let mut devices = Vec::with_capacity(num_nodes * gpus_per_node);
         let mut streams = Vec::with_capacity(num_nodes * gpus_per_node);
-        let mut streams_by_device = Vec::with_capacity(num_nodes * gpus_per_node);
         for node in 0..num_nodes {
             for g in 0..gpus_per_node {
                 let engine = kernel.add_link(
@@ -82,11 +81,11 @@ impl GpuMachine {
                     engine,
                     allocated: Cell::new(0),
                     mem_limit: Cell::new(None),
+                    streams: Cell::new(1),
                 });
                 // Default stream: registry slot == global device id.
                 let fifo = kernel.add_fifo(format!("n{node}.g{g}.s0"), 1);
                 let track = kernel.trace.add_track(format!("n{node}.g{g} default"));
-                streams_by_device.push(vec![streams.len()]);
                 streams.push(StreamInfo {
                     device: node * gpus_per_node + g,
                     fifo,
@@ -102,7 +101,6 @@ impl GpuMachine {
                 mode,
                 devices,
                 streams: RefCell::new(streams),
-                streams_by_device: RefCell::new(streams_by_device),
                 peer_enabled: RefCell::new(HashSet::new()),
             }),
         }
@@ -245,16 +243,16 @@ impl GpuMachine {
     /// Create a new stream on `device`.
     pub fn create_stream(&self, k: &mut Kernel, device: usize) -> Stream {
         let mut streams = self.inner.streams.borrow_mut();
-        let mut by_dev = self.inner.streams_by_device.borrow_mut();
         let idx = streams.len();
         let node = self.node_of(device);
         let local = self.local_of(device);
-        let per_dev = by_dev[device].len();
+        let count = &self.inner.devices[device].streams;
+        let per_dev = count.get();
         let fifo = k.add_fifo(format!("n{node}.g{local}.s{per_dev}"), 1);
         let track = k
             .trace
             .add_track(format!("n{node}.g{local} stream{per_dev}"));
-        by_dev[device].push(idx);
+        count.set(per_dev + 1);
         streams.push(StreamInfo {
             device,
             fifo,
@@ -277,14 +275,6 @@ impl GpuMachine {
     /// The trace track of a stream.
     pub fn stream_track(&self, s: Stream) -> detsim::trace::TrackId {
         self.inner.streams.borrow()[s.0].track
-    }
-
-    /// All streams currently on `device` (default first).
-    pub fn device_streams(&self, device: usize) -> Vec<Stream> {
-        self.inner.streams_by_device.borrow()[device]
-            .iter()
-            .map(|&i| Stream(i))
-            .collect()
     }
 
     // ----- peer access ----------------------------------------------------
@@ -406,9 +396,20 @@ mod tests {
         let s2 = m.create_stream(&mut k, 4);
         assert_ne!(s1, s2);
         assert_eq!(m.stream_device(s1), 4);
-        let streams = m.device_streams(4);
-        assert_eq!(streams.len(), 3); // default + 2
-        assert_eq!(streams[0], m.default_stream(4));
+        assert_eq!(m.stream_device(s2), 4);
+        // Numbered per device after the default stream `s0`; another
+        // device's streams do not advance the count.
+        let s3 = m.create_stream(&mut k, 5);
+        let names = |s| {
+            (
+                k.fifo_name(m.stream_fifo(s)),
+                k.trace.track_name(m.stream_track(s)),
+            )
+        };
+        assert_eq!(names(m.default_stream(4)), ("n0.g4.s0", "n0.g4 default"));
+        assert_eq!(names(s1), ("n0.g4.s1", "n0.g4 stream1"));
+        assert_eq!(names(s2), ("n0.g4.s2", "n0.g4 stream2"));
+        assert_eq!(names(s3), ("n0.g5.s1", "n0.g5 stream1"));
     }
 
     #[test]

@@ -1,19 +1,13 @@
 //! Asynchronous device operations: memcpy, kernel launches, events, stream
-//! and device synchronization, and IPC handles.
+//! synchronization, and IPC handles.
 //!
-//! Every operation has two forms:
-//!
-//! * a thread-level form taking [`SimCtx`] (e.g. [`GpuMachine::memcpy_async`])
-//!   that charges the issuing thread the driver's per-call CPU overhead —
-//!   this is what application code (and the stencil library) uses;
-//! * a kernel-level `submit_*` form taking `&mut Kernel`, used from event
-//!   callbacks (state machines, the MPI progress engine) where no thread
-//!   context exists and no CPU issue time should be charged.
+//! Every operation takes the issuing thread's [`SimCtx`] and charges it the
+//! driver's per-call CPU overhead before enqueueing on the stream.
 //!
 //! Operations on one stream execute in order; operations on different
 //! streams overlap freely, contending only for links and engines.
 
-use detsim::{Completion, Kernel, LinkId, SimCtx};
+use detsim::{Completion, LinkId, SimCtx};
 
 use crate::buffer::{Buffer, Placement};
 use crate::machine::{GpuMachine, Stream};
@@ -98,65 +92,56 @@ impl GpuMachine {
         len: u64,
     ) -> Completion {
         ctx.delay(self.cost_model().call_overhead);
-        ctx.with_kernel(|k| self.submit_memcpy(k, stream, dst, dst_off, src, src_off, len))
-    }
-
-    /// Kernel-level form of [`Self::memcpy_async`].
-    #[allow(clippy::too_many_arguments)] // mirrors the CUDA signature
-    pub fn submit_memcpy(
-        &self,
-        k: &mut Kernel,
-        stream: Stream,
-        dst: &Buffer,
-        dst_off: u64,
-        src: &Buffer,
-        src_off: u64,
-        len: u64,
-    ) -> Completion {
         assert!(src_off + len <= src.len(), "memcpy source out of range");
         assert!(
             dst_off + len <= dst.len(),
             "memcpy destination out of range"
         );
         let (label, path) = self.classify(src, dst);
-        if k.metrics.is_enabled() {
-            let device = self.stream_device(stream);
-            let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
-            k.metrics.counter_add(
-                "gpusim",
-                "memcpy_bytes",
-                &[("dev", &dev), ("dir", label)],
-                len,
-            );
-            k.metrics.counter_add(
-                "gpusim",
-                "memcpy_count",
-                &[("dev", &dev), ("dir", label)],
-                1,
-            );
-        }
+        let device = self.stream_device(stream);
         let fifo = self.stream_fifo(stream);
         let track = self.stream_track(stream);
         let latency = self.cost_model().memcpy_latency;
-        let done = k.completion();
-        let d2 = done.clone();
-        let dst = dst.clone();
-        let src = src.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            let start = k.now();
-            k.schedule_in(latency, move |k| {
-                k.start_flow(&path, len, move |k| {
-                    dst.copy_from(dst_off, &src, src_off, len);
-                    if k.trace.is_enabled() {
-                        k.trace
-                            .record(track, format!("{label} {len}B"), "memcpy", start, k.now());
-                    }
-                    k.fifo_task_done(token);
-                    k.complete(&d2);
+        let (dst, src) = (dst.clone(), src.clone());
+        ctx.with_kernel(|k| {
+            if k.metrics.is_enabled() {
+                let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
+                k.metrics.counter_add(
+                    "gpusim",
+                    "memcpy_bytes",
+                    &[("dev", &dev), ("dir", label)],
+                    len,
+                );
+                k.metrics.counter_add(
+                    "gpusim",
+                    "memcpy_count",
+                    &[("dev", &dev), ("dir", label)],
+                    1,
+                );
+            }
+            let done = k.completion();
+            let d2 = done.clone();
+            k.fifo_submit(fifo, move |k, token| {
+                let start = k.now();
+                k.schedule_in(latency, move |k| {
+                    k.start_flow(&path, len, move |k| {
+                        dst.copy_from(dst_off, &src, src_off, len);
+                        if k.trace.is_enabled() {
+                            k.trace.record(
+                                track,
+                                format!("{label} {len}B"),
+                                "memcpy",
+                                start,
+                                k.now(),
+                            );
+                        }
+                        k.fifo_task_done(token);
+                        k.complete(&d2);
+                    });
                 });
             });
-        });
-        done
+            done
+        })
     }
 
     /// Launch a kernel on `stream` that touches `bytes` of device memory
@@ -172,77 +157,61 @@ impl GpuMachine {
         work: Option<Work>,
     ) -> Completion {
         ctx.delay(self.cost_model().call_overhead);
-        ctx.with_kernel(|k| self.submit_kernel(k, stream, label, bytes, work))
-    }
-
-    /// Kernel-level form of [`Self::launch_kernel`].
-    pub fn submit_kernel(
-        &self,
-        k: &mut Kernel,
-        stream: Stream,
-        label: impl Into<String>,
-        bytes: u64,
-        work: Option<Work>,
-    ) -> Completion {
         let device = self.stream_device(stream);
         let engine = self.engine_link(device);
         let fifo = self.stream_fifo(stream);
         let track = self.stream_track(stream);
         let label = label.into();
-        if k.metrics.is_enabled() {
-            let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
-            k.metrics
-                .counter_add("gpusim", "kernel_launches", &[("dev", &dev)], 1);
-            k.metrics
-                .counter_add("gpusim", "kernel_bytes", &[("dev", &dev)], bytes);
-        }
-        let done = k.completion();
-        let d2 = done.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            let start = k.now();
-            k.start_flow(&[engine], bytes, move |k| {
-                if let Some(w) = work {
-                    w();
-                }
-                k.trace.record(track, label, "kernel", start, k.now());
-                k.fifo_task_done(token);
-                k.complete(&d2);
+        ctx.with_kernel(|k| {
+            if k.metrics.is_enabled() {
+                let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
+                k.metrics
+                    .counter_add("gpusim", "kernel_launches", &[("dev", &dev)], 1);
+                k.metrics
+                    .counter_add("gpusim", "kernel_bytes", &[("dev", &dev)], bytes);
+            }
+            let done = k.completion();
+            let d2 = done.clone();
+            k.fifo_submit(fifo, move |k, token| {
+                let start = k.now();
+                k.start_flow(&[engine], bytes, move |k| {
+                    if let Some(w) = work {
+                        w();
+                    }
+                    k.trace.record(track, label, "kernel", start, k.now());
+                    k.fifo_task_done(token);
+                    k.complete(&d2);
+                });
             });
-        });
-        done
+            done
+        })
     }
 
     /// `cudaEventRecord`: returns a completion that fires when the stream
     /// reaches this point.
     pub fn record_event(&self, ctx: &SimCtx, stream: Stream) -> Completion {
         ctx.delay(self.cost_model().call_overhead);
-        ctx.with_kernel(|k| self.submit_record_event(k, stream))
-    }
-
-    /// Kernel-level form of [`Self::record_event`].
-    pub fn submit_record_event(&self, k: &mut Kernel, stream: Stream) -> Completion {
         let fifo = self.stream_fifo(stream);
-        let done = k.completion();
-        let d2 = done.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            k.complete(&d2);
-            k.fifo_task_done(token);
-        });
-        done
+        ctx.with_kernel(|k| {
+            let done = k.completion();
+            let d2 = done.clone();
+            k.fifo_submit(fifo, move |k, token| {
+                k.complete(&d2);
+                k.fifo_task_done(token);
+            });
+            done
+        })
     }
 
     /// `cudaStreamWaitEvent`: `stream` stalls until `event` fires.
     pub fn stream_wait_event(&self, ctx: &SimCtx, stream: Stream, event: &Completion) {
         ctx.delay(self.cost_model().call_overhead);
-        ctx.with_kernel(|k| self.submit_wait_event(k, stream, event));
-    }
-
-    /// Kernel-level form of [`Self::stream_wait_event`].
-    pub fn submit_wait_event(&self, k: &mut Kernel, stream: Stream, event: &Completion) {
         let fifo = self.stream_fifo(stream);
         let ev = event.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            k.on_complete(&ev, move |k| k.fifo_task_done(token));
+        ctx.with_kernel(|k| {
+            k.fifo_submit(fifo, move |k, token| {
+                k.on_complete(&ev, move |k| k.fifo_task_done(token));
+            });
         });
     }
 
@@ -251,24 +220,6 @@ impl GpuMachine {
     pub fn stream_sync(&self, ctx: &SimCtx, stream: Stream) {
         let c = self.record_event(ctx, stream);
         ctx.wait(&c);
-    }
-
-    /// `cudaDeviceSynchronize`: block until every stream of `device` drains.
-    pub fn device_sync(&self, ctx: &SimCtx, device: usize) {
-        ctx.delay(self.cost_model().call_overhead);
-        let c = ctx.with_kernel(|k| self.submit_device_sync(k, device));
-        ctx.wait(&c);
-    }
-
-    /// Kernel-level device sync: completion firing when every stream of
-    /// `device` has drained (as of submission).
-    pub fn submit_device_sync(&self, k: &mut Kernel, device: usize) -> Completion {
-        let events: Vec<Completion> = self
-            .device_streams(device)
-            .into_iter()
-            .map(|s| self.submit_record_event(k, s))
-            .collect();
-        k.completion_all(&events)
     }
 
     /// `cudaIpcGetMemHandle`: export a device buffer for another rank.
@@ -492,21 +443,6 @@ mod tests {
             ctx.wait_all(&[k1, k2]);
         });
         assert_eq!(*order.borrow(), vec!["first", "second"]);
-    }
-
-    #[test]
-    fn device_sync_drains_all_streams() {
-        let (mut sim, m) = setup(1);
-        let m2 = m.clone();
-        sim.run(1, move |ctx| {
-            let (s1, s2) = ctx.with_kernel(|k| (m2.create_stream(k, 0), m2.create_stream(k, 0)));
-            let _ = m2.launch_kernel(ctx, s1, "a", 350_000_000, None);
-            let _ = m2.launch_kernel(ctx, s2, "b", 700_000_000, None);
-            let t0 = ctx.now();
-            m2.device_sync(ctx, 0);
-            let dt = ctx.now().since(t0).as_secs_f64();
-            assert!(dt > 0.0015, "device sync waits for slowest stream: {dt}");
-        });
     }
 
     #[test]
