@@ -30,6 +30,11 @@ for b in fig11 fig12a fig12b fig12c fig13 ablation; do
     ./target/release/$b --max-nodes 2 --iters 1 >/dev/null
 done
 
+echo "==> example smoke (all seven; five assert their distributed result)"
+for e in quickstart jacobi3d wave3d deep_halo irregular_halo placement_explorer topology_report; do
+    ./target/release/$e >/dev/null
+done
+
 echo "==> bench smoke (simperf --quick)"
 ./target/release/simperf --quick --json /tmp/simperf_smoke.json
 ./target/release/simperf --validate /tmp/simperf_smoke.json
