@@ -192,6 +192,38 @@ fn every_transport_tier_matches_golden_bits() {
     );
 }
 
+/// The partitioned tier is the one most bound by flow re-rating (every
+/// halo lands as concurrent partitions), so it is also pinned past the
+/// 2-node `TIER_PINS` scale: 32 nodes × 6 ranks, weak-scaling extent 750
+/// per GPU, `iters(2)`.
+#[test]
+fn partitioned_tier_at_32_nodes_matches_golden_bits() {
+    const PER_ITER_BITS: [u64; 2] = [0x3f909929742a7e2e, 0x3f90985f7e4fceee];
+    const ELAPSED_PS: u64 = 33_042_523_338;
+    let nodes = 32;
+    let extent = weak_scaling_extent(750, nodes * RANKS_PER_NODE);
+    assert_eq!(extent, 4327, "weak-scaling extent formula changed");
+    let spec = JobSpec::new(
+        "bench",
+        ClusterPreset::Summit { nodes },
+        RANKS_PER_NODE,
+        [extent; 3],
+    )
+    .methods(Methods::all().with_partitioned())
+    .iters(2);
+    let r = svc::execute(&spec, None);
+    let bits: Vec<u64> = r.per_iter.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(
+        bits, PER_ITER_BITS,
+        "partitioned 32-node virtual times diverged: got {:?} s",
+        r.per_iter
+    );
+    assert_eq!(
+        r.elapsed_virtual_ps, ELAPSED_PS,
+        "elapsed virtual time drifted"
+    );
+}
+
 #[test]
 fn metrics_collection_does_not_perturb_virtual_time() {
     let plain = svc::execute(&golden_config(), None);
