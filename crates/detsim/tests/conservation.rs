@@ -133,3 +133,81 @@ fn slot_reuse_does_not_finish_new_flows_early() {
         "load integral {busy} != delivered {delivered}"
     );
 }
+
+/// Regression test: `flow/link_busy_ps` counts only time during which the
+/// link carried at least one flow. A link's `load` is a running sum of rate
+/// deltas, so after its last flow leaves it may keep a rounding residue;
+/// that residue must not make a later idle interval count as busy.
+///
+/// Zero-latency links make each flow active on its links exactly from its
+/// start to its completion, so the expected busy time is the length of the
+/// union of those intervals. After the random flows drain, the link idles
+/// for 1 ms before one more flow crosses link 0, which settles the idle
+/// interval into the counter.
+#[test]
+fn link_busy_ps_counts_only_intervals_with_active_flows() {
+    use detsim::{Kernel, SimDuration};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    const CAPACITIES: [f64; 4] = [12.5e9, 25e9, 10e9, 6e9];
+    for seed in 1..400u64 {
+        let mut state = seed;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut k = Kernel::new();
+        k.metrics.enable();
+        let links: Vec<_> = CAPACITIES
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| k.add_link(format!("l{i}"), c, SimDuration::ZERO))
+            .collect();
+        // Per link, the (start, finish) picoseconds of every flow on it.
+        let spans = Rc::new(RefCell::new(vec![Vec::<(u64, u64)>::new(); 4]));
+        let start_one = |k: &mut Kernel, at: SimDuration, hops: Vec<usize>, bytes: u64| {
+            let spans = Rc::clone(&spans);
+            let path: Vec<_> = hops.iter().map(|&h| links[h]).collect();
+            k.schedule_in(at, move |k| {
+                let start = k.now().picos();
+                k.start_flow(&path, bytes, move |k| {
+                    for &h in &hops {
+                        spans.borrow_mut()[h].push((start, k.now().picos()));
+                    }
+                });
+            });
+        };
+        let n = 2 + rnd() % 6;
+        for _ in 0..n {
+            let bytes = 1000 + rnd() % 1_000_000;
+            let at = SimDuration::from_nanos(rnd() % 50_000);
+            let (a, b) = ((rnd() % 4) as usize, (rnd() % 4) as usize);
+            let hops = if a == b { vec![a] } else { vec![a, b] };
+            start_one(&mut k, at, hops, bytes);
+        }
+        k.run_to_completion();
+        start_one(&mut k, SimDuration::from_millis(1), vec![0], 1000);
+        k.run_to_completion();
+        for (i, spans) in spans.borrow_mut().iter_mut().enumerate() {
+            spans.sort_unstable();
+            let (mut union, mut reach) = (0u64, 0u64);
+            for &(s, f) in spans.iter() {
+                let s = s.max(reach);
+                if f > s {
+                    union += f - s;
+                    reach = f;
+                }
+            }
+            let name = format!("l{i}");
+            let busy = k
+                .metrics
+                .counter("flow", "link_busy_ps", &[("link", name.as_str())]);
+            assert_eq!(
+                busy, union,
+                "seed {seed}: {name} counted {busy} ps busy, flows covered {union} ps"
+            );
+        }
+    }
+}
