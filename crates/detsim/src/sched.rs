@@ -347,11 +347,14 @@ fn drive(kernel: &RefCell<Kernel>, rt: &Runtime) -> Outcome {
             let mut k = kernel.borrow_mut();
             loop {
                 if let Some(next) = k.sched.ready.pop_first() {
+                    // Rank code never sees a pending flow re-rating.
+                    k.flush_dirty_flows();
                     k.sched.state[next] = RankState::Running;
                     k.sched.current = Some(next);
                     break next;
                 }
                 if k.sched.alive == 0 {
+                    k.flush_dirty_flows();
                     return Outcome::Completed;
                 }
                 if !k.step() {
