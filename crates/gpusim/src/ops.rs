@@ -147,12 +147,13 @@ impl GpuMachine {
     /// Launch a kernel on `stream` that touches `bytes` of device memory
     /// (pack/unpack/compute cost model) and, in full-data mode, runs `work`
     /// when it completes. Concurrent kernels on one device share its engine
-    /// bandwidth.
+    /// bandwidth. `label` names the kernel's trace span; it is copied only
+    /// when tracing is on.
     pub fn launch_kernel(
         &self,
         ctx: &SimCtx,
         stream: Stream,
-        label: impl Into<String>,
+        label: &'static str,
         bytes: u64,
         work: Option<Work>,
     ) -> Completion {
@@ -161,7 +162,6 @@ impl GpuMachine {
         let engine = self.engine_link(device);
         let fifo = self.stream_fifo(stream);
         let track = self.stream_track(stream);
-        let label = label.into();
         ctx.with_kernel(|k| {
             if k.metrics.is_enabled() {
                 let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
