@@ -35,6 +35,13 @@ for e in quickstart jacobi3d wave3d deep_halo irregular_halo placement_explorer 
     ./target/release/$e >/dev/null
 done
 
+echo "==> summit 256-node row reproduces BENCH_summit_fig12.json (every field before wall_s)"
+./target/release/summit --max-nodes 256 --iters 2 --json /tmp/summit_smoke.json >/dev/null
+summit_row() { grep -o '"nodes": 256[^}]*' "$1" | sed 's/, "wall_s.*//'; }
+want=$(summit_row BENCH_summit_fig12.json)
+test -n "$want"
+test "$(summit_row /tmp/summit_smoke.json)" = "$want"
+
 echo "==> bench smoke (simperf --quick)"
 ./target/release/simperf --quick --json /tmp/simperf_smoke.json
 ./target/release/simperf --validate /tmp/simperf_smoke.json
