@@ -37,15 +37,15 @@
 //! * Paths of up to [`PATH_INLINE`] hops are stored inline in the flow
 //!   (internode host routes are at most 7 links), so starting a flow does
 //!   not clone the path and resharing never touches the heap.
-//! * The affected-flow set is a sorted-and-deduped scratch `Vec` reused
-//!   across reshares, replacing a `BTreeSet` rebuilt per membership change.
+//! * The affected-flow set is a scratch `Vec` reused across reshares and
+//!   never sorted: a flow listed twice is skipped by its touch stamp.
 //! * Completion events are [`EventKind::FlowFinish`] records, not boxed
 //!   closures; superseded projections are counted so the kernel can compact
 //!   them out of the heap (see [`Kernel::step`]). A flow re-rated at a
 //!   flush gets one projection there however often it was touched, so a
 //!   weak-64n step supersedes 359,040 projections instead of 1,005,472.
 
-use crate::kernel::{push_event, Action, Event, EventKind, Kernel};
+use crate::kernel::{Action, Event, EventKind, Kernel};
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
@@ -55,12 +55,15 @@ pub struct LinkId(pub(crate) usize);
 
 /// Identifies an active flow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct FlowId(usize);
+pub struct FlowId(pub(crate) usize);
 
 /// Paths up to this many hops live inline in the flow; longer ones spill
 /// to the heap. The deepest route the topology builds (internode host
 /// path: intranode hops + inject + eject + intranode hops) is 7 links.
 const PATH_INLINE: usize = 8;
+
+/// `Flow::seq` of a flow no reshare has touched yet; never reserved.
+const UNTOUCHED: u64 = u64::MAX;
 
 /// A flow's route plus, per hop, the flow's index into that link's entry
 /// list (maintained by join/leave so leaving is O(1)).
@@ -130,8 +133,9 @@ struct Flow {
     rate: f64,
     last_update: SimTime,
     generation: u64,
-    /// Sequence number reserved by the flow's last touch; its deferred
-    /// completion event is queued under it.
+    /// Sequence number reserved by the reshare call that last touched the
+    /// flow; its completion event is queued under it. [`UNTOUCHED`] until
+    /// the first touch.
     seq: u64,
     /// Touched since the last flush and not yet re-rated.
     dirty: bool,
@@ -149,7 +153,7 @@ pub(crate) struct FlowNet {
     free: Vec<usize>,
     active: usize,
     /// Reusable affected-flow buffer for joins/leaves (never held across
-    /// user callbacks).
+    /// user callbacks); may list a flow more than once.
     scratch: Vec<FlowId>,
     /// Flows touched since the last flush: dirty flows awaiting their
     /// re-rating, plus eagerly re-rated ones whose links still need a
@@ -295,7 +299,7 @@ impl Kernel {
             };
             affected.extend(l.entries.iter().map(|e| e.0));
         }
-        self.reshare(&mut affected);
+        self.reshare(&affected);
         affected.clear();
         self.flows.scratch = affected;
     }
@@ -397,7 +401,7 @@ impl Kernel {
             rate: 0.0,
             last_update: now,
             generation: 0,
-            seq: 0,
+            seq: UNTOUCHED,
             dirty: false,
             on_done: Some(on_done),
         });
@@ -428,32 +432,32 @@ impl Kernel {
             }
             self.metrics.gauge_add("flow", "active_flows", &[], 1.0);
         }
-        self.reshare(&mut affected);
+        self.reshare(&affected);
         affected.clear();
         self.flows.scratch = affected;
     }
 
     /// Touch the `affected` flows after a share change on their links
-    /// (duplicates welcome; the buffer is sorted and deduped in place). Each
-    /// flow's progress is settled at its old rate and a sequence number is
-    /// reserved for its completion event; the re-rating itself waits for
+    /// (duplicates welcome). Each flow's progress is settled at its old rate
+    /// and the call's one reserved sequence number is stored as the one its
+    /// completion event will carry; the re-rating itself waits for
     /// [`Kernel::flush_reshares`], which runs once per flow however many
     /// times the flow is touched before the clock advances or a rank
     /// resumes.
     ///
-    /// Flows are processed in ascending id order — the same order the
-    /// original `BTreeSet`-based implementation used — so every flow takes
-    /// the sequence number an immediate re-projection would have taken and
-    /// same-instant completions keep their tie-break.
+    /// Flows touched by one call share its sequence number and tie-break by
+    /// `FlowId`, the order the consecutive numbers handed out in ascending
+    /// `FlowId` gave them. A flow's `seq` doubles as its touch stamp: a
+    /// duplicate entry finds it equal to the call's number and is skipped.
     ///
     /// A flow with no bytes left is re-rated and its completion queued at
     /// once: it is the only projection that can land on the current instant
     /// (`SimDuration::from_secs_f64` rounds up), and queuing it now keeps
     /// its place among the instant's events.
-    fn reshare(&mut self, affected: &mut Vec<FlowId>) {
-        affected.sort_unstable();
-        affected.dedup();
+    fn reshare(&mut self, affected: &[FlowId]) {
         let now = self.now();
+        let s = self.next_seq;
+        self.next_seq += 1;
         let FlowNet {
             links,
             flows,
@@ -462,11 +466,12 @@ impl Kernel {
             ..
         } = &mut self.flows;
         let metrics = &mut self.metrics;
-        let (queue, next_seq) = (&mut self.queue, &mut self.next_seq);
-        for &fid in affected.iter() {
-            let Some(flow) = flows[fid.0].as_mut() else {
-                continue; // completed in the meantime
-            };
+        for &fid in affected {
+            let flow = flows[fid.0].as_mut().expect("affected flow is live");
+            if flow.seq == s {
+                continue; // already touched by this call
+            }
+            flow.seq = s;
             // Settle progress at the old rate. Within one instant only the
             // first touch has `dt > 0`.
             let dt = now.since(flow.last_update).as_secs_f64();
@@ -485,12 +490,16 @@ impl Kernel {
             }
             if eager {
                 rerate(flow, links, metrics, now);
-                let gen = flow.generation;
-                push_event(queue, next_seq, now, EventKind::FlowFinish { fid, gen });
+                self.queue.push(Event {
+                    at: now,
+                    seq: s,
+                    kind: EventKind::FlowFinish {
+                        fid,
+                        gen: flow.generation,
+                    },
+                });
             } else {
                 flow.dirty = true;
-                flow.seq = *next_seq;
-                *next_seq += 1;
             }
         }
     }
@@ -612,7 +621,7 @@ impl Kernel {
                 metrics.gauge_add("flow", "active_flows", &[], -1.0);
             }
         }
-        self.reshare(&mut affected);
+        self.reshare(&affected);
         affected.clear();
         self.flows.scratch = affected;
         if let Some(cb) = flow.on_done.take() {

@@ -148,9 +148,21 @@ pub(crate) fn push_event(
 /// (and they make up at least half the queue — see [`Kernel::step`]).
 const STALE_COMPACT_MIN: usize = 4096;
 
+impl Event {
+    /// Ordering key. Flows touched by one reshare call share its sequence
+    /// number, so their completions tie-break by `FlowId`.
+    fn key(&self) -> (SimTime, u64, usize) {
+        let fid = match self.kind {
+            EventKind::FlowFinish { fid, .. } => fid.0,
+            EventKind::Call(_) | EventKind::Wake { .. } => 0,
+        };
+        (self.at, self.seq, fid)
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Event {}
@@ -161,9 +173,8 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // BinaryHeap is a max-heap; invert so the earliest key pops first.
+        other.key().cmp(&self.key())
     }
 }
 
