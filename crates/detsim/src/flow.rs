@@ -13,15 +13,20 @@
 //!
 //! Whenever the set of flows on any link changes (or a link's capacity
 //! does), the affected flows are *touched*: their remaining byte counts
-//! are settled at the current instant, each reserves the sequence number
-//! its completion event will carry, and each is marked dirty. Before the
-//! clock leaves the instant, and before a rank resumes, the kernel
-//! *flushes*: every dirty flow is re-rated once and its completion event
-//! re-projected under the sequence number of its last touch. Several joins
-//! and leaves at one instant therefore cost one re-rating per flow, with
-//! the same virtual times as re-rating at every touch (see
-//! [`Kernel::flush_reshares`] for why this is exact). Stale completion
-//! events are invalidated with a per-flow generation counter.
+//! are settled at the current instant, each takes the sequence number the
+//! touching call reserved, and each is marked dirty. Before the clock
+//! leaves the instant, and before a rank resumes, the kernel *flushes*:
+//! every dirty flow is re-rated once and its completion re-projected under
+//! the sequence number of its last touch. Several joins and leaves at one
+//! instant therefore cost one re-rating per flow, with the same virtual
+//! times as re-rating at every touch (see [`Kernel::flush_reshares`] for
+//! why this is exact).
+//!
+//! A flow's projected completion is not an event. It is one key
+//! `(at, seq, FlowId)` in the [`FlowHeap`], an indexed binary min-heap
+//! beside the kernel's event heap, and a re-projection moves that key in
+//! place. [`Kernel::step`] pops whichever heap's top has the smaller
+//! `(at, seq)`.
 //!
 //! ## Performance notes
 //!
@@ -39,13 +44,15 @@
 //!   not clone the path and resharing never touches the heap.
 //! * The affected-flow set is a scratch `Vec` reused across reshares and
 //!   never sorted: a flow listed twice is skipped by its touch stamp.
-//! * Completion events are [`EventKind::FlowFinish`] records, not boxed
-//!   closures; superseded projections are counted so the kernel can compact
-//!   them out of the heap (see [`Kernel::step`]). A flow re-rated at a
-//!   flush gets one projection there however often it was touched, so a
-//!   weak-64n step supersedes 359,040 projections instead of 1,005,472.
+//! * The flow heap holds at most one key per flow, so a superseded
+//!   projection is overwritten, not left behind to be popped or compacted.
+//!   A weak-64n step supersedes 359,040 projections; the event heap used
+//!   to carry each of them as a stale event until it was dropped.
+//! * The heap's keys sit inline in its `Vec`, and each flow slot's
+//!   position sits in a dense `u32` array, so a sift compares and moves
+//!   keys without visiting a `Flow`.
 
-use crate::kernel::{Action, Event, EventKind, Kernel};
+use crate::kernel::{Action, Kernel};
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
@@ -64,6 +71,9 @@ const PATH_INLINE: usize = 8;
 
 /// `Flow::seq` of a flow no reshare has touched yet; never reserved.
 const UNTOUCHED: u64 = u64::MAX;
+
+/// `FlowHeap::pos` of a flow slot with no queued completion.
+const NOT_QUEUED: u32 = u32::MAX;
 
 /// A flow's route plus, per hop, the flow's index into that link's entry
 /// list (maintained by join/leave so leaving is O(1)).
@@ -132,24 +142,141 @@ struct Flow {
     total: u64,
     rate: f64,
     last_update: SimTime,
-    generation: u64,
     /// Sequence number reserved by the reshare call that last touched the
-    /// flow; its completion event is queued under it. [`UNTOUCHED`] until
-    /// the first touch.
+    /// flow; its completion is keyed under it. [`UNTOUCHED`] until the
+    /// first touch.
     seq: u64,
-    /// Touched since the last flush and not yet re-rated.
+    /// Touched since the last flush and not yet re-rated. The flow's queued
+    /// key, if any, is the superseded projection.
     dirty: bool,
     on_done: Option<Action>,
+}
+
+/// A flow's projected completion. It orders against events by
+/// `(at, seq)`; flows touched by one reshare call share `seq` and order by
+/// `fid`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct FlowKey {
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) fid: FlowId,
+}
+
+/// Indexed binary min-heap of flow completions, at most one key per flow
+/// slot: [`FlowHeap::set`] inserts a flow's key or moves it in place.
+pub(crate) struct FlowHeap {
+    /// The keys, inline so that a sift compares without visiting flows.
+    keys: Vec<FlowKey>,
+    /// Per flow slot, the index of its key in `keys`, or [`NOT_QUEUED`].
+    pos: Vec<u32>,
+}
+
+impl FlowHeap {
+    fn new() -> Self {
+        FlowHeap {
+            keys: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+
+    /// The earliest key.
+    pub(crate) fn peek(&self) -> Option<&FlowKey> {
+        self.keys.first()
+    }
+
+    /// Queue `key` as its flow's completion, replacing the key the flow
+    /// already has queued; returns whether there was one.
+    fn set(&mut self, key: FlowKey) -> bool {
+        let slot = key.fid.0;
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, NOT_QUEUED);
+        }
+        match self.pos[slot] {
+            NOT_QUEUED => {
+                self.keys.push(key);
+                self.sift_up(self.keys.len() - 1, key);
+                false
+            }
+            i => {
+                let i = i as usize;
+                if key < self.keys[i] {
+                    self.sift_up(i, key);
+                } else {
+                    self.sift_down(i, key);
+                }
+                true
+            }
+        }
+    }
+
+    /// Remove and return the earliest key.
+    pub(crate) fn pop(&mut self) -> Option<FlowKey> {
+        let last = self.keys.pop()?;
+        let top = match self.keys.first() {
+            Some(&top) => {
+                self.sift_down(0, last);
+                top
+            }
+            None => last,
+        };
+        self.pos[top.fid.0] = NOT_QUEUED;
+        Some(top)
+    }
+
+    /// Store `key` at `i` or above it, moving the larger ancestors down.
+    /// The key at `i` is overwritten.
+    fn sift_up(&mut self, mut i: usize, key: FlowKey) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let up = self.keys[parent];
+            if up <= key {
+                break;
+            }
+            self.put(i, up, parent);
+            i = parent;
+        }
+        self.keys[i] = key;
+        self.pos[key.fid.0] = i as u32;
+    }
+
+    /// Store `key` at `i` or below it, moving the smaller descendants up.
+    /// The key at `i` is overwritten.
+    fn sift_down(&mut self, mut i: usize, key: FlowKey) {
+        let n = self.keys.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            let down = self.keys[child];
+            if key <= down {
+                break;
+            }
+            self.put(i, down, child);
+            i = child;
+        }
+        self.keys[i] = key;
+        self.pos[key.fid.0] = i as u32;
+    }
+
+    /// Move `key` from index `from` to index `to`.
+    fn put(&mut self, to: usize, key: FlowKey, from: usize) {
+        debug_assert_eq!(
+            self.pos[key.fid.0] as usize, from,
+            "flow heap position out of sync"
+        );
+        self.keys[to] = key;
+        self.pos[key.fid.0] = to as u32;
+    }
 }
 
 /// Container for links and flows; lives inside [`Kernel`].
 pub(crate) struct FlowNet {
     links: Vec<Link>,
     flows: Vec<Option<Flow>>,
-    /// Per-slot generation floor, persisted across slot reuse so that a
-    /// stale completion event scheduled for a *previous* occupant of a slot
-    /// can never match the current occupant's generation.
-    slot_gen: Vec<u64>,
     free: Vec<usize>,
     active: usize,
     /// Reusable affected-flow buffer for joins/leaves (never held across
@@ -159,6 +286,11 @@ pub(crate) struct FlowNet {
     /// re-rating, plus eagerly re-rated ones whose links still need a
     /// peak-utilization sample. A flow may be listed more than once.
     pub(crate) dirty: Vec<FlowId>,
+    /// Projected completions of the active flows.
+    pub(crate) heap: FlowHeap,
+    /// Projections superseded so far: a queued key moved by a
+    /// re-projection, or popped while its flow was dirty.
+    pub(crate) superseded: u64,
 }
 
 impl FlowNet {
@@ -166,34 +298,33 @@ impl FlowNet {
         FlowNet {
             links: Vec::new(),
             flows: Vec::new(),
-            slot_gen: Vec::new(),
             free: Vec::new(),
             active: 0,
             scratch: Vec::new(),
             dirty: Vec::new(),
+            heap: FlowHeap::new(),
+            superseded: 0,
         }
     }
 
-    fn alloc(&mut self, mut flow: Flow) -> FlowId {
+    fn alloc(&mut self, flow: Flow) -> FlowId {
         self.active += 1;
         if let Some(i) = self.free.pop() {
             debug_assert!(self.flows[i].is_none());
-            flow.generation = self.slot_gen[i];
             self.flows[i] = Some(flow);
             FlowId(i)
         } else {
             self.flows.push(Some(flow));
-            self.slot_gen.push(0);
             FlowId(self.flows.len() - 1)
         }
     }
 
-    /// Whether a completion event for `(fid, gen)` still refers to the
-    /// current occupant of the slot at its current rate.
-    pub(crate) fn is_fresh(&self, fid: FlowId, gen: u64) -> bool {
+    /// Whether the active flow `fid` awaits its re-rating.
+    pub(crate) fn is_dirty(&self, fid: FlowId) -> bool {
         self.flows[fid.0]
             .as_ref()
-            .is_some_and(|f| f.generation == gen)
+            .expect("queued flow is live")
+            .dirty
     }
 }
 
@@ -400,7 +531,6 @@ impl Kernel {
             total: bytes,
             rate: 0.0,
             last_update: now,
-            generation: 0,
             seq: UNTOUCHED,
             dirty: false,
             on_done: Some(on_done),
@@ -439,21 +569,22 @@ impl Kernel {
 
     /// Touch the `affected` flows after a share change on their links
     /// (duplicates welcome). Each flow's progress is settled at its old rate
-    /// and the call's one reserved sequence number is stored as the one its
-    /// completion event will carry; the re-rating itself waits for
+    /// and the sequence number this call reserves becomes the one its
+    /// completion will be keyed under; the re-rating itself waits for
     /// [`Kernel::flush_reshares`], which runs once per flow however many
     /// times the flow is touched before the clock advances or a rank
     /// resumes.
     ///
     /// Flows touched by one call share its sequence number and tie-break by
-    /// `FlowId`, the order the consecutive numbers handed out in ascending
-    /// `FlowId` gave them. A flow's `seq` doubles as its touch stamp: a
-    /// duplicate entry finds it equal to the call's number and is skipped.
+    /// `FlowId`: the order that consecutive numbers, handed out in ascending
+    /// `FlowId`, would give them. A flow's `seq` doubles as its touch stamp:
+    /// a duplicate entry finds it equal to the call's number and is
+    /// skipped.
     ///
-    /// A flow with no bytes left is re-rated and its completion queued at
+    /// A flow with no bytes left is re-rated and its completion keyed at
     /// once: it is the only projection that can land on the current instant
-    /// (`SimDuration::from_secs_f64` rounds up), and queuing it now keeps
-    /// its place among the instant's events.
+    /// (`SimDuration::from_secs_f64` rounds up), and keying it now keeps its
+    /// place among the instant's events.
     fn reshare(&mut self, affected: &[FlowId]) {
         let now = self.now();
         let s = self.next_seq;
@@ -461,8 +592,9 @@ impl Kernel {
         let FlowNet {
             links,
             flows,
-            slot_gen,
             dirty,
+            heap,
+            superseded,
             ..
         } = &mut self.flows;
         let metrics = &mut self.metrics;
@@ -477,43 +609,35 @@ impl Kernel {
             let dt = now.since(flow.last_update).as_secs_f64();
             flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
             flow.last_update = now;
-            let eager = flow.remaining == 0.0;
-            debug_assert!(!(eager && flow.dirty), "drained flow left dirty");
-            if eager || !flow.dirty {
-                if flow.generation > slot_gen[fid.0] {
-                    // This flow already had a projected completion; bumping
-                    // the generation supersedes it.
-                    self.stale_pending += 1;
-                }
-                flow.generation += 1;
-                dirty.push(fid);
-            }
-            if eager {
+            if flow.remaining == 0.0 {
+                debug_assert!(!flow.dirty, "drained flow left dirty");
                 rerate(flow, links, metrics, now);
-                self.queue.push(Event {
+                let key = FlowKey {
                     at: now,
                     seq: s,
-                    kind: EventKind::FlowFinish {
-                        fid,
-                        gen: flow.generation,
-                    },
-                });
-            } else {
+                    fid,
+                };
+                *superseded += u64::from(heap.set(key));
+                dirty.push(fid);
+            } else if !flow.dirty {
                 flow.dirty = true;
+                dirty.push(fid);
             }
         }
     }
 
-    /// Re-rate every dirty flow once and queue its completion under the
-    /// sequence number of its last touch, then sample the utilization peak
-    /// of every link a flow touched since the last flush crosses.
+    /// Re-rate every dirty flow once and key its completion under the
+    /// sequence number of its last touch, moving its queued key in place;
+    /// then sample the utilization peak of every link a flow touched since
+    /// the last flush crosses.
     ///
     /// This is exact: inside one instant the touches settle no progress
     /// (`dt = 0`); every share change on a flow's links touches the flow,
     /// so its last touch saw the final shares and the rate computed here is
     /// the one that touch would have computed; and the reserved sequence
     /// number keeps every same-time tie-break. Only the order in which link
-    /// loads are summed changes, which moves diagnostics' low bits.
+    /// loads are summed follows the touches, which moves diagnostics' low
+    /// bits.
     ///
     /// The kernel flushes before its clock advances or it reports an empty
     /// queue ([`Kernel::step`]), before a rank resumes or `Sim::run`
@@ -526,6 +650,8 @@ impl Kernel {
             links,
             flows,
             dirty,
+            heap,
+            superseded,
             ..
         } = &mut self.flows;
         let metrics = &mut self.metrics;
@@ -537,14 +663,12 @@ impl Kernel {
             rerate(flow, links, metrics, now);
             let eta = SimDuration::from_secs_f64(flow.remaining / flow.rate);
             assert!(eta > SimDuration::ZERO, "deferred completion landed on now");
-            self.queue.push(Event {
+            let key = FlowKey {
                 at: now + eta,
                 seq: flow.seq,
-                kind: EventKind::FlowFinish {
-                    fid,
-                    gen: flow.generation,
-                },
-            });
+                fid,
+            };
+            *superseded += u64::from(heap.set(key));
         }
         // Peaks wait for the whole batch: mid-batch loads mix old and new
         // rates.
@@ -563,16 +687,10 @@ impl Kernel {
     }
 
     /// Deliver a flow's last byte: detach it from its links, reshare the
-    /// survivors, and run its callback. Called by the event loop for fresh
-    /// [`EventKind::FlowFinish`] events.
-    pub(crate) fn finish_flow(&mut self, fid: FlowId, gen: u64) {
-        if !self.flows.is_fresh(fid, gen) {
-            return; // superseded by a rate change
-        }
+    /// survivors, and run its callback. Called by the event loop when the
+    /// flow's key pops from the flow heap and the flow is not dirty.
+    pub(crate) fn finish_flow(&mut self, fid: FlowId) {
         let mut flow = self.flows.flows[fid.0].take().expect("flow vanished");
-        // Outstanding (stale) events carry generations <= flow.generation;
-        // start the next occupant of this slot above all of them.
-        self.flows.slot_gen[fid.0] = flow.generation + 1;
         self.flows.free.push(fid.0);
         self.flows.active -= 1;
         let now = self.now();

@@ -10,7 +10,9 @@
 //! Determinism: events are ordered by `(time, sequence-number)` where the
 //! sequence number is assigned at scheduling time. Two events scheduled for
 //! the same instant therefore execute in scheduling order, independent of
-//! heap internals.
+//! heap internals. Flow completions live in a second heap, keyed by the
+//! same `(time, sequence-number)` plus the flow's id; the event loop pops
+//! whichever of the two tops comes first (see [`Kernel::step`]).
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -19,7 +21,7 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::rc::Rc;
 
 use crate::fifo::FifoTable;
-use crate::flow::{FlowId, FlowNet};
+use crate::flow::FlowNet;
 use crate::metrics::Metrics;
 use crate::sched::SchedState;
 use crate::time::{SimDuration, SimTime};
@@ -37,8 +39,7 @@ pub type Action = Box<dyn FnOnce(&mut Kernel)>;
 /// don't fit in one word fall back to a (thin) box, transparently. The
 /// whole thing is two words — payload plus a `&'static` vtable — which
 /// keeps `Event` at the same size the old fat-boxed `Action` gave it:
-/// growing events would slow every `BinaryHeap` sift for *all* event kinds,
-/// including the flow completions that dominate paper-scale heaps.
+/// growing events would slow every `BinaryHeap` sift.
 pub(crate) struct SmallAction {
     data: MaybeUninit<*mut ()>,
     vtable: &'static ActionVTable,
@@ -105,64 +106,27 @@ unsafe fn drop_boxed<F>(data: *mut *mut ()) {
     drop(unsafe { Box::from_raw(data.cast::<*mut F>().read()) });
 }
 
-/// What happens when an event fires. Flow completions — by far the most
-/// common event at paper scale, and the only kind that is routinely
-/// superseded — are a plain enum variant instead of a boxed closure, so
-/// re-projecting a flow allocates nothing and a stale completion can be
-/// recognized (and dropped) without executing it. Timer wakes (the
-/// `SimCtx::delay` fast path) are likewise a bare variant: waking a rank
-/// needs no completion object at all.
+/// What happens when an event fires. Timer wakes (the `SimCtx::delay` fast
+/// path) are a bare variant: waking a rank needs no completion object at
+/// all. Flow completions are not events: each flow keeps one key in the
+/// flow network's indexed heap, which a re-projection moves in place.
 pub(crate) enum EventKind {
     /// Run a callback (inline if small, boxed otherwise).
     Call(SmallAction),
-    /// Deliver the last byte of flow `fid`, provided its generation still
-    /// equals `gen` (otherwise the event is stale: the flow was re-rated or
-    /// already finished and the slot possibly reused).
-    FlowFinish { fid: FlowId, gen: u64 },
     /// Wake rank `tid` from a `SimCtx::delay`, provided `token` is still
     /// the wake it is armed for (see `SchedState::fire_wake`).
     Wake { tid: usize, token: u64 },
 }
 
-pub(crate) struct Event {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
-}
-
-/// Append an event to a queue, assigning the next sequence number. A free
-/// function (not a method) so the flow network can schedule completions
-/// while holding disjoint borrows of other kernel fields.
-pub(crate) fn push_event(
-    queue: &mut BinaryHeap<Event>,
-    next_seq: &mut u64,
+struct Event {
     at: SimTime,
+    seq: u64,
     kind: EventKind,
-) {
-    let seq = *next_seq;
-    *next_seq += 1;
-    queue.push(Event { at, seq, kind });
-}
-
-/// Compact the heap once at least this many stale completions accumulated
-/// (and they make up at least half the queue — see [`Kernel::step`]).
-const STALE_COMPACT_MIN: usize = 4096;
-
-impl Event {
-    /// Ordering key. Flows touched by one reshare call share its sequence
-    /// number, so their completions tie-break by `FlowId`.
-    fn key(&self) -> (SimTime, u64, usize) {
-        let fid = match self.kind {
-            EventKind::FlowFinish { fid, .. } => fid.0,
-            EventKind::Call(_) | EventKind::Wake { .. } => 0,
-        };
-        (self.at, self.seq, fid)
-    }
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.at == other.at && self.seq == other.seq
     }
 }
 impl Eq for Event {}
@@ -173,8 +137,9 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest key pops first.
-        other.key().cmp(&self.key())
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
+        // first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -224,7 +189,7 @@ impl std::fmt::Debug for Completion {
 pub struct Kernel {
     now: SimTime,
     pub(crate) next_seq: u64,
-    pub(crate) queue: BinaryHeap<Event>,
+    queue: BinaryHeap<Event>,
     pub(crate) flows: FlowNet,
     pub(crate) fifos: FifoTable,
     pub(crate) sched: SchedState,
@@ -233,14 +198,6 @@ pub struct Kernel {
     /// Metrics registry (counters, gauges, histograms); disabled by default.
     pub metrics: Metrics,
     executed_events: u64,
-    /// Flow-completion events still queued whose generation no longer
-    /// matches their flow — bumped by the flow network on every
-    /// re-projection, decremented as stale events are skipped or compacted.
-    pub(crate) stale_pending: usize,
-    /// Stale completions discarded so far (skipped at pop or compacted).
-    stale_dropped: u64,
-    /// Times the event heap was rebuilt to shed stale completions.
-    compactions: u64,
 }
 
 impl Default for Kernel {
@@ -262,9 +219,6 @@ impl Kernel {
             trace: Trace::new(),
             metrics: Metrics::new(),
             executed_events: 0,
-            stale_pending: 0,
-            stale_dropped: 0,
-            compactions: 0,
         }
     }
 
@@ -274,21 +228,27 @@ impl Kernel {
         self.now
     }
 
-    /// Number of events executed so far (diagnostics). Stale flow
-    /// completions are skipped, not executed, and do not count.
+    /// Number of events and flow completions executed so far
+    /// (diagnostics). Superseded flow completions do not count.
     pub fn executed_events(&self) -> u64 {
         self.executed_events
     }
 
-    /// Stale flow-completion events discarded so far (diagnostics).
+    /// Flow completions superseded so far (diagnostics): a projected
+    /// completion moved by a re-rating, or popped while its flow's
+    /// re-rating was pending. Neither runs or advances the clock. The
+    /// count equals the stale events an event heap holding every
+    /// projection would drop.
     pub fn stale_events_dropped(&self) -> u64 {
-        self.stale_dropped
+        self.flows.superseded
     }
 
-    /// Times the event heap was compacted to shed stale completions
-    /// (diagnostics).
+    /// Always 0: the flow heap holds one key per flow, so nothing stale
+    /// accumulates and nothing is compacted. Kept only for perfbench's
+    /// `detsim.heap_compactions` row; the next benchmark change deletes
+    /// both.
     pub fn heap_compactions(&self) -> u64 {
-        self.compactions
+        0
     }
 
     /// Schedule `action` to run at absolute time `at`. Scheduling into the
@@ -296,12 +256,14 @@ impl Kernel {
     /// callback returns).
     pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + 'static) {
         let at = at.max(self.now);
-        push_event(
-            &mut self.queue,
-            &mut self.next_seq,
-            at,
-            EventKind::Call(SmallAction::new(action)),
-        );
+        self.push_event(at, EventKind::Call(SmallAction::new(action)));
+    }
+
+    /// Queue an event under the next sequence number.
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Event { at, seq, kind });
     }
 
     /// Arm and schedule a bare timer wake for rank `tid`, `d` from now: the
@@ -310,12 +272,7 @@ impl Kernel {
     /// unchanged — but no completion allocation and no callback.
     pub(crate) fn schedule_wake(&mut self, tid: usize, d: SimDuration) {
         let token = self.sched.arm_wake(tid);
-        push_event(
-            &mut self.queue,
-            &mut self.next_seq,
-            self.now + d,
-            EventKind::Wake { tid, token },
-        );
+        self.push_event(self.now + d, EventKind::Wake { tid, token });
     }
 
     /// Schedule `action` to run `d` from now.
@@ -400,76 +357,68 @@ impl Kernel {
         }
     }
 
-    /// Execute the earliest pending event (advancing the clock to it).
-    /// Returns `false` if the queue was empty.
+    /// Execute the earliest pending event or flow completion (advancing the
+    /// clock to it). Returns `false` if both were empty.
     ///
     /// The re-ratings that this instant's reshares deferred are flushed
     /// (see `Kernel::flush_reshares`) before the clock moves past the
-    /// instant and before an empty queue is reported; the flush queues the
-    /// flows' completions, so only then is the queue really empty.
+    /// instant and before empty heaps are reported; the flush keys the
+    /// flows' completions, so only then are the heaps really empty.
     ///
-    /// A stale flow completion (generation mismatch) is discarded without
-    /// advancing the clock or counting as executed; the call still returns
-    /// `true` because the queue made progress. When enough stale events
-    /// accumulate (`STALE_COMPACT_MIN`, and at least half the queue), the
-    /// heap is rebuilt without them so their `O(log n)` sift cost and
-    /// memory are not paid for the rest of the run.
+    /// Events and flow completions order by `(time, seq)`. Their tops never
+    /// tie: a reshare reserves its sequence number for the flows it
+    /// touches and never gives it to an event. A flow popped while dirty
+    /// was touched in the instant its key came due; the key is superseded
+    /// and dropped without advancing the clock or counting as executed,
+    /// and the flush re-projects the flow. The call still returns `true`.
     pub fn step(&mut self) -> bool {
         // The emptiness test stays inline: it runs on every event.
-        if !self.flows.dirty.is_empty() && self.queue.peek().is_none_or(|ev| ev.at > self.now) {
+        if !self.flows.dirty.is_empty() && self.next_at().is_none_or(|at| at > self.now) {
             self.flush_reshares();
         }
-        if self.stale_pending >= STALE_COMPACT_MIN && self.stale_pending * 2 >= self.queue.len() {
-            self.compact_queue();
-        }
-        match self.queue.pop() {
-            Some(ev) => {
-                match ev.kind {
-                    EventKind::Call(action) => {
-                        debug_assert!(ev.at >= self.now, "event queue went backwards");
-                        self.now = ev.at;
-                        self.executed_events += 1;
-                        action.call(self);
-                    }
-                    EventKind::Wake { tid, token } => {
-                        debug_assert!(ev.at >= self.now, "event queue went backwards");
-                        self.now = ev.at;
-                        self.executed_events += 1;
-                        self.sched.fire_wake(tid, token);
-                    }
-                    EventKind::FlowFinish { fid, gen } => {
-                        if self.flows.is_fresh(fid, gen) {
-                            debug_assert!(ev.at >= self.now, "event queue went backwards");
-                            self.now = ev.at;
-                            self.executed_events += 1;
-                            self.finish_flow(fid, gen);
-                        } else {
-                            self.stale_pending = self.stale_pending.saturating_sub(1);
-                            self.stale_dropped += 1;
-                        }
-                    }
-                }
-                true
+        let flow_first = match (self.flows.heap.peek(), self.queue.peek()) {
+            (Some(key), Some(ev)) => {
+                debug_assert!(
+                    (key.at, key.seq) != (ev.at, ev.seq),
+                    "a reserved sequence number was queued as an event"
+                );
+                (key.at, key.seq) < (ev.at, ev.seq)
             }
-            None => false,
+            (key, _) => key.is_some(),
+        };
+        if flow_first {
+            let key = self.flows.heap.pop().expect("flow heap has a top");
+            if self.flows.is_dirty(key.fid) {
+                self.flows.superseded += 1;
+            } else {
+                debug_assert!(key.at >= self.now, "event queue went backwards");
+                self.now = key.at;
+                self.executed_events += 1;
+                self.finish_flow(key.fid);
+            }
+            return true;
         }
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(ev.at >= self.now, "event queue went backwards");
+        self.now = ev.at;
+        self.executed_events += 1;
+        match ev.kind {
+            EventKind::Call(action) => action.call(self),
+            EventKind::Wake { tid, token } => self.sched.fire_wake(tid, token),
+        }
+        true
     }
 
-    /// Rebuild the event heap without stale flow completions. Pop order of
-    /// the survivors is unchanged: the comparator is the same and `(time,
-    /// seq)` keys are unique.
-    fn compact_queue(&mut self) {
-        let before = self.queue.len();
-        let mut events = std::mem::take(&mut self.queue).into_vec();
-        events.retain(|ev| match ev.kind {
-            EventKind::Call(_) | EventKind::Wake { .. } => true,
-            EventKind::FlowFinish { fid, gen } => self.flows.is_fresh(fid, gen),
-        });
-        let dropped = before - events.len();
-        self.queue = BinaryHeap::from(events);
-        self.stale_pending = self.stale_pending.saturating_sub(dropped);
-        self.stale_dropped += dropped as u64;
-        self.compactions += 1;
+    /// Time of the earliest queued event or flow completion.
+    fn next_at(&self) -> Option<SimTime> {
+        let event = self.queue.peek().map(|ev| ev.at);
+        let flow = self.flows.heap.peek().map(|key| key.at);
+        match (event, flow) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Run the event loop until the queue drains. For pure event-driven
