@@ -771,6 +771,66 @@ mod tests {
         })
     }
 
+    /// The indexed heap against a sorted reference. An LCG drives inserts,
+    /// moves earlier, moves later and pops over a few `at` and `seq` values,
+    /// so keys often tie on both and only `fid` orders them. Every pop must
+    /// return the least queued `(at, seq, fid)`, and every stored position
+    /// must point back at its flow's key.
+    #[test]
+    fn flow_heap_pops_in_key_order() {
+        const SLOTS: usize = 48;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut heap = FlowHeap::new();
+        let mut queued: Vec<Option<FlowKey>> = vec![None; SLOTS];
+        let least = |queued: &[Option<FlowKey>]| queued.iter().flatten().min().copied();
+        // Inserts, moves earlier, moves later (or to the same key), pops.
+        let mut ops = [0usize; 4];
+        for _ in 0..20_000 {
+            if below(4) == 0 {
+                let want = least(&queued);
+                assert_eq!(heap.pop(), want);
+                if let Some(key) = want {
+                    queued[key.fid.0] = None;
+                    ops[3] += 1;
+                }
+            } else {
+                let slot = below(SLOTS as u64) as usize;
+                let key = FlowKey {
+                    at: SimTime::ZERO + SimDuration::from_picos(below(6)),
+                    seq: below(4),
+                    fid: FlowId(slot),
+                };
+                assert_eq!(heap.set(key), queued[slot].is_some());
+                ops[match queued[slot] {
+                    None => 0,
+                    Some(old) if key < old => 1,
+                    Some(_) => 2,
+                }] += 1;
+                queued[slot] = Some(key);
+            }
+            assert_eq!(heap.keys.len(), queued.iter().flatten().count());
+            for (i, key) in heap.keys.iter().enumerate() {
+                assert_eq!(heap.pos[key.fid.0] as usize, i, "position of {key:?}");
+                assert_eq!(queued[key.fid.0], Some(*key));
+            }
+            for (slot, &pos) in heap.pos.iter().enumerate() {
+                assert_eq!(pos == NOT_QUEUED, queued[slot].is_none(), "slot {slot}");
+            }
+        }
+        while let Some(key) = heap.pop() {
+            assert_eq!(Some(key), least(&queued));
+            queued[key.fid.0] = None;
+        }
+        assert!(queued.iter().all(Option::is_none));
+        assert!(ops.iter().all(|&n| n > 1_000), "ops {ops:?}");
+    }
+
     #[test]
     fn solo_flow_runs_at_link_capacity() {
         let mut k = Kernel::new();
