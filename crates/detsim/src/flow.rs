@@ -62,7 +62,7 @@ pub struct LinkId(pub(crate) usize);
 
 /// Identifies an active flow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct FlowId(pub(crate) usize);
+pub struct FlowId(usize);
 
 /// Paths up to this many hops live inline in the flow; longer ones spill
 /// to the heap. The deepest route the topology builds (internode host
@@ -164,6 +164,7 @@ pub(crate) struct FlowKey {
 
 /// Indexed binary min-heap of flow completions, at most one key per flow
 /// slot: [`FlowHeap::set`] inserts a flow's key or moves it in place.
+#[derive(Default)]
 pub(crate) struct FlowHeap {
     /// The keys, inline so that a sift compares without visiting flows.
     keys: Vec<FlowKey>,
@@ -172,13 +173,6 @@ pub(crate) struct FlowHeap {
 }
 
 impl FlowHeap {
-    fn new() -> Self {
-        FlowHeap {
-            keys: Vec::new(),
-            pos: Vec::new(),
-        }
-    }
-
     /// The earliest key.
     pub(crate) fn peek(&self) -> Option<&FlowKey> {
         self.keys.first()
@@ -302,7 +296,7 @@ impl FlowNet {
             active: 0,
             scratch: Vec::new(),
             dirty: Vec::new(),
-            heap: FlowHeap::new(),
+            heap: FlowHeap::default(),
             superseded: 0,
         }
     }
@@ -786,7 +780,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % n
         };
-        let mut heap = FlowHeap::new();
+        let mut heap = FlowHeap::default();
         let mut queued: Vec<Option<FlowKey>> = vec![None; SLOTS];
         let least = |queued: &[Option<FlowKey>]| queued.iter().flatten().min().copied();
         // Inserts, moves earlier, moves later (or to the same key), pops.

@@ -415,10 +415,7 @@ impl Kernel {
     fn next_at(&self) -> Option<SimTime> {
         let event = self.queue.peek().map(|ev| ev.at);
         let flow = self.flows.heap.peek().map(|key| key.at);
-        match (event, flow) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        event.into_iter().chain(flow).min()
     }
 
     /// Run the event loop until the queue drains. For pure event-driven
