@@ -25,9 +25,15 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
 
-echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes)"
+echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes; each twice, stdout must repeat)"
 for b in fig11 fig12a fig12b fig12c fig13 ablation; do
-    ./target/release/$b --max-nodes 2 --iters 1 >/dev/null
+    ./target/release/$b --max-nodes 2 --iters 1 >/tmp/fig_smoke_1.txt
+    ./target/release/$b --max-nodes 2 --iters 1 >/tmp/fig_smoke_2.txt
+    if ! cmp -s /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt; then
+        echo "$b: two runs printed different stdout"
+        diff /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt || true
+        exit 1
+    fi
 done
 
 echo "==> example smoke (all seven; five assert their distributed result)"
