@@ -41,13 +41,12 @@
 //!   entry list so leaving a link is O(1) with a single position fix-up.
 //! * Paths of up to [`PATH_INLINE`] hops are stored inline in the flow
 //!   (internode host routes are at most 7 links), so starting a flow does
-//!   not clone the path and resharing never touches the heap.
+//!   not clone the path and resharing never allocates.
 //! * The affected-flow set is a scratch `Vec` reused across reshares and
 //!   never sorted: a flow listed twice is skipped by its touch stamp.
 //! * The flow heap holds at most one key per flow, so a superseded
-//!   projection is overwritten, not left behind to be popped or compacted.
-//!   A weak-64n step supersedes 359,040 projections; the event heap used
-//!   to carry each of them as a stale event until it was dropped.
+//!   projection is overwritten in place and nothing stale is left to pop
+//!   or compact (a weak-64n step supersedes 359,040 projections).
 //! * The heap's keys sit inline in its `Vec`, and each flow slot's
 //!   position sits in a dense `u32` array, so a sift compares and moves
 //!   keys without visiting a `Flow`.
