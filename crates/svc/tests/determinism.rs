@@ -15,7 +15,7 @@ fn probe() -> JobSpec {
 }
 
 /// Neighbor workloads that saturate the pool around the probe — a mix of
-/// shapes, placements, and an injected fault.
+/// shapes, placements, consolidation, metrics and injected faults.
 fn neighbors() -> Vec<JobSpec> {
     vec![
         JobSpec::new(
@@ -38,6 +38,30 @@ fn neighbors() -> Vec<JobSpec> {
                 speed_factor: 0.5,
             })
             .iters(2),
+        JobSpec::new("n5", ClusterPreset::Summit { nodes: 2 }, 6, [96, 96, 96])
+            .faults(FaultScenario::FlappingNic {
+                node: 0,
+                first_down_us: 100,
+                down_us: 500,
+                up_us: 250,
+                flaps: 3,
+            })
+            .iters(4),
+        JobSpec::new(
+            "n6",
+            ClusterPreset::Fat {
+                nodes: 1,
+                sockets: 2,
+                islands_per_socket: 2,
+                gpus_per_island: 2,
+            },
+            8,
+            [96, 96, 96],
+        )
+        .consolidate(true)
+        .placement(stencil_core::PlacementStrategy::GreedySwap)
+        .collect_metrics(true)
+        .iters(2),
     ]
 }
 
@@ -53,7 +77,8 @@ fn run_solo() -> JobResult {
 }
 
 /// Run the probe amid `63` neighbor jobs on `workers` workers and return
-/// the probe's result.
+/// the probe's result. Every neighbor repeats, and each repeat must match
+/// that neighbor's first run bit for bit.
 fn run_saturated(workers: usize) -> JobResult {
     let service = Service::new(ServiceConfig {
         workers,
@@ -64,14 +89,17 @@ fn run_saturated(workers: usize) -> JobResult {
     let pool = neighbors();
     // 32 neighbors in front, the probe, then 31 behind.
     for i in 0..32 {
-        handles.push(service.submit(pool[i % pool.len()].clone()).unwrap());
+        let k = i % pool.len();
+        handles.push((k, service.submit(pool[k].clone()).unwrap()));
     }
     let probe_handle = service.submit(probe()).expect("probe admitted");
     for i in 0..31 {
-        handles.push(service.submit(pool[i % pool.len()].clone()).unwrap());
+        let k = i % pool.len();
+        handles.push((k, service.submit(pool[k].clone()).unwrap()));
     }
     let r = probe_handle.wait();
-    for h in handles {
+    let mut first: Vec<Option<JobResult>> = pool.iter().map(|_| None).collect();
+    for (k, h) in handles {
         let n = h.wait();
         assert_eq!(
             n.status,
@@ -79,6 +107,10 @@ fn run_saturated(workers: usize) -> JobResult {
             "neighbor failed: {:?}",
             n.error
         );
+        match &first[k] {
+            Some(f) => assert_same_bits(f, &n, &format!("neighbor {} repeat", pool[k].tenant)),
+            None => first[k] = Some(n),
+        }
     }
     service.shutdown();
     r
