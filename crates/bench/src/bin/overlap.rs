@@ -20,7 +20,8 @@
 //!   persistent beats staged nonblocking and the overlapped schedule beats
 //!   sequential (both per-iteration), and NIC bytes match across every
 //!   transport and schedule.
-//! * `--max-nodes N` cap the sweep (default 64).
+//! * `--max-nodes N` cap the sweep (default 64; at least 4, its smallest
+//!   point).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -195,38 +196,73 @@ fn to_json(rows: &[Row]) -> String {
     s
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let do_validate = args.iter().any(|a| a == "--validate");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json PATH").clone());
-    let max_nodes: usize = args
-        .iter()
-        .position(|a| a == "--max-nodes")
-        .map(|i| args[i + 1].parse().expect("--max-nodes N"))
-        .unwrap_or(64);
-    for a in &args {
-        assert!(
-            ["--quick", "--validate", "--json", "--max-nodes"].contains(&a.as_str())
-                || args
-                    .iter()
-                    .position(|x| x == a)
-                    .map(|i| i > 0 && (args[i - 1] == "--json" || args[i - 1] == "--max-nodes"))
-                    .unwrap_or(false),
-            "unknown flag {a}"
-        );
-    }
+/// The node counts of the full sweep; `--max-nodes` caps it.
+const SWEEP: [usize; 3] = [4, 16, 64];
 
-    let node_counts: Vec<usize> = if quick {
+struct Args {
+    quick: bool,
+    validate: bool,
+    json: Option<String>,
+    max_nodes: usize,
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        validate: false,
+        json: None,
+        max_nodes: 64,
+    };
+    let mut i = 0;
+    while i < argv.len() {
+        let operand = |i: usize| {
+            argv.get(i + 1)
+                .ok_or_else(|| format!("{} needs a value", argv[i]))
+        };
+        match argv[i].as_str() {
+            "--quick" => {
+                args.quick = true;
+                i += 1;
+            }
+            "--validate" => {
+                args.validate = true;
+                i += 1;
+            }
+            "--json" => {
+                args.json = Some(operand(i)?.clone());
+                i += 2;
+            }
+            "--max-nodes" => {
+                let n = operand(i)?;
+                args.max_nodes = n
+                    .parse()
+                    .map_err(|_| format!("--max-nodes N: {n} is not a node count"))?;
+                i += 2;
+            }
+            other => {
+                return Err(format!(
+                    "unknown flag {other} (expected --quick / --validate / --json PATH / --max-nodes N)"
+                ))
+            }
+        }
+    }
+    if !args.quick && args.max_nodes < SWEEP[0] {
+        return Err(format!(
+            "--max-nodes {} is below the sweep's smallest point ({} nodes)",
+            args.max_nodes, SWEEP[0]
+        ));
+    }
+    Ok(args)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| panic!("{e}"));
+
+    let node_counts: Vec<usize> = if args.quick {
         vec![2]
     } else {
-        [4, 16, 64]
-            .into_iter()
-            .filter(|&n| n <= max_nodes)
-            .collect()
+        SWEEP.into_iter().filter(|&n| n <= args.max_nodes).collect()
     };
     let transports = [
         Transport::Staged,
@@ -263,13 +299,13 @@ fn main() {
     }
     println!("\nplan at {} nodes: {}", node_counts[0], rows[0].plan);
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         std::fs::write(&path, to_json(&rows)).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("results written to {path}");
     }
-    if do_validate {
-        let top = *node_counts.last().unwrap();
-        let strict = !quick && top >= 64;
+    if args.validate {
+        let top = *node_counts.last().expect("the sweep has a point");
+        let strict = !args.quick && top >= 64;
         match validate(&rows, top, strict) {
             Ok(()) => println!(
                 "validate: OK at {top} nodes ({})",
@@ -280,5 +316,29 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_names_a_bad_max_nodes() {
+        assert_eq!(
+            parse(&["--max-nodes"]).err().as_deref(),
+            Some("--max-nodes needs a value")
+        );
+        assert_eq!(
+            parse(&["--max-nodes", "2"]).err().as_deref(),
+            Some("--max-nodes 2 is below the sweep's smallest point (4 nodes)")
+        );
+        assert_eq!(parse(&["--max-nodes", "4"]).map(|a| a.max_nodes), Ok(4));
+        // `--quick` runs its own 2-node grid, so the floor does not apply.
+        assert!(parse(&["--quick", "--max-nodes", "2"]).is_ok());
     }
 }
