@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod microbench;
 
 use svc::JobSpec;
 
