@@ -100,7 +100,7 @@ fn peak_utilization_never_exceeds_one() {
     }
 }
 
-/// Regression test: flow slots are recycled; a stale completion event from a
+/// Regression test: flow slots are recycled; a completion projected for a
 /// previous occupant must never complete the new flow early. (This bug let
 /// large simulations deliver more bytes than link capacity allowed.)
 #[test]
@@ -114,7 +114,7 @@ fn slot_reuse_does_not_finish_new_flows_early() {
             k.start_flow(&[l], 1_000 + round, |_| {});
         });
     }
-    // One long flow whose slot churns through many generations around it.
+    // One long flow, while the short flows around it reuse freed slots.
     k.schedule_in(SimDuration::from_micros(10), move |k| {
         k.start_flow(&[l], 5_000_000, |k| {
             // 5 MB at <= 1 GB/s takes >= 5 ms.

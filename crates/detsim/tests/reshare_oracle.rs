@@ -6,8 +6,8 @@
 //! membership change and settles **every** flow at every event instant —
 //! the O(flows x links) algorithm the kernel deliberately avoids. Both see
 //! the same deterministic churn tables (LCG-generated arrivals over shared
-//! links, in several waves so flow slots are freed and reused, exercising
-//! the generation machinery). Agreement is checked on:
+//! links, in several waves so flow slots are freed and reused). Agreement
+//! is checked on:
 //!
 //! * completion times, within a few ps: the implementations settle
 //!   floating-point state in different orders/granularities, so the last
@@ -107,7 +107,7 @@ fn churn_table(seed: u64, links: &[LinkSpec]) -> Vec<FlowSpec> {
     let mut flows = Vec::new();
     // Three waves with dead time between them: wave n+1 starts only after
     // every wave-n flow has long finished, so its flows are allocated into
-    // reused slots whose generation floors are nonzero.
+    // slots that earlier flows used and freed.
     for wave in 0..3u64 {
         let wave_start = wave * 8 * PS_PER_SEC / 1000; // 8 ms apart
         for _ in 0..60 {
