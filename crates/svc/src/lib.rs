@@ -24,8 +24,8 @@
 //!   comparison queries keyed by workload digest.
 //! - [`json`] — the crate's tiny dependency-free JSON reader/writer.
 //!
-//! See `docs/SERVICE.md` for the full contract and `loadgen` (in the
-//! bench crate) for the throughput/latency benchmark.
+//! See `docs/SERVICE.md` for the full contract; perfbench's `svc-mix`
+//! workload measures the service's throughput and latency.
 //!
 //! # Example
 //!
