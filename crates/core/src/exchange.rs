@@ -18,6 +18,11 @@
 //! landed one partition at a time, or the colocated mailbox. A consolidated
 //! message (paper §VI) is a plan with several `Segment`s; a per-direction
 //! plan is the one-segment case.
+//!
+//! `build_plans` describes each direction, runs the colocated IPC
+//! handshake, groups staged messages when consolidating, and only then
+//! allocates the final messages' pack and pinned-host staging and wires
+//! each one's `Post`, so a merged message owns one pack buffer.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -295,7 +300,8 @@ fn concat_segments(segments: impl IntoIterator<Item = Segment>) -> Vec<Segment> 
         .collect()
 }
 
-/// Build the specialized communication plan for this rank (setup phase 3).
+/// Build the specialized communication plan for this rank (setup phase 3)
+/// in four steps: describe, handshake, group, allocate and wire.
 /// Collective: performs the colocated IPC handshake and ends with a
 /// barrier.
 pub(crate) fn build_plans(
@@ -335,6 +341,9 @@ pub(crate) fn build_plans(
     let mut recvs = Vec::new();
     let mut summary = PlanSummary::default();
 
+    // 1. Describe: one plan per direction with its method and stream, the
+    //    device buffer each received segment lands in, and a colocated
+    //    receive's mailbox (the handshake shares both).
     for local in locals {
         let ext = local.interior.extent;
         let sid = dom_part.subdomain_id(local.node_idx, local.gpu_idx) as u64;
@@ -370,36 +379,19 @@ pub(crate) fn build_plans(
                     let stream = ctx
                         .sim()
                         .with_kernel(|k| machine.create_stream(k, local.device));
-                    let pack_buf = (method != Method::Kernel).then(|| {
-                        machine
-                            .alloc_device_untimed(local.device, bytes)
-                            .expect("pack buffer")
-                    });
-                    let host_buf =
-                        host_staged(method).then(|| pinned_host(&machine, local.device, bytes));
-                    // Channels and mailboxes are wired up below.
-                    let post = match method {
-                        Method::Staged => host_buf.clone().map(Post::Message),
-                        Method::CudaAwareMpi => pack_buf.clone().map(Post::Message),
-                        _ => None,
-                    };
                     summary.record(method, bytes);
+                    let src_reg = region::src_region(ext, &spec.radius, d);
                     sends.push(SendPlan {
                         method,
                         dst_rank,
                         tag: sid * 32 + d.index() as u64,
                         bytes,
-                        segments: vec![segment(
-                            region::src_region(ext, &spec.radius, d),
-                            bytes,
-                            stream,
-                            None,
-                        )],
-                        pack_buf,
-                        host_buf,
+                        segments: vec![segment(src_reg, bytes, stream, None)],
+                        pack_buf: None,
+                        host_buf: None,
                         remote_buf: None,
                         local_recv: None,
-                        post,
+                        post: None,
                     });
                 }
             }
@@ -432,29 +424,23 @@ pub(crate) fn build_plans(
                         .alloc_device_untimed(local.device, rbytes)
                         .expect("recv buffer")
                 });
-                let host_buf =
-                    host_staged(method).then(|| pinned_host(&machine, local.device, rbytes));
-                let post = match method {
-                    Method::Staged => host_buf.clone().map(Post::Message),
-                    Method::CudaAwareMpi => dev_buf.clone().map(Post::Message),
-                    Method::ColocatedMemcpy => Some(Post::Mailbox(Mailbox::new())),
-                    _ => None,
-                };
                 recvs.push(RecvPlan {
                     method,
                     src_rank,
                     tag: src_sid * 32 + d.index() as u64,
                     bytes: rbytes,
                     segments: vec![segment(dst_reg, rbytes, stream, dev_buf)],
-                    host_buf,
-                    post,
+                    host_buf: None,
+                    post: (method == Method::ColocatedMemcpy)
+                        .then(|| Post::Mailbox(Mailbox::new())),
                 });
             }
         }
     }
 
-    // Colocated IPC handshake: receivers share (handle, mailbox), senders
-    // open the handle. One-time, during setup — no MPI during exchanges.
+    // 2. Colocated IPC handshake: receivers share (handle, mailbox),
+    //    senders open the handle. One-time, during setup — no MPI during
+    //    exchanges.
     for rp in &recvs {
         if let Some(Post::Mailbox(mailbox)) = &rp.post {
             let buf = rp.segments[0].dev_buf.as_ref().expect("receive buffer");
@@ -475,37 +461,28 @@ pub(crate) fn build_plans(
             sp.post = Some(Post::Mailbox(share.mailbox));
         }
     }
-    // Optional consolidation (paper §VI): merge every set of >1 staged
-    // transfers sharing (source subdomain, destination rank) into a single
-    // message. Both sides compute the same groups from the same partition
-    // and method-selection math, ordered by tag, so offsets agree without
-    // extra handshaking. Merged receives are issued first and merged sends
-    // last.
+    // 3. Group (optional consolidation, paper §VI): merge every set of >1
+    //    staged transfers sharing (source subdomain, destination rank)
+    //    into a single message. Both sides compute the same groups from
+    //    the same partition and method-selection math, ordered by tag, so
+    //    offsets agree without extra handshaking. Merged receives are
+    //    issued first and merged sends last.
     if spec.consolidate {
         let (keep, merged) = consolidate(
             sends,
             |p| (p.method == Method::Staged).then_some((p.tag / 32, p.dst_rank)),
             |p| p.tag,
-            |(sid, dst_rank), members| {
-                // all members originate on one source device
-                let device = machine.stream_device(members[0].segments[0].stream);
-                let bytes = members.iter().map(|p| p.bytes).sum();
-                let pack_buf = machine
-                    .alloc_device_untimed(device, bytes)
-                    .expect("consolidated pack buffer");
-                let host_buf = pinned_host(&machine, device, bytes);
-                SendPlan {
-                    method: Method::Staged,
-                    dst_rank,
-                    tag: sid * 32 + CONSOLIDATED_SLOT,
-                    bytes,
-                    segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
-                    pack_buf: Some(pack_buf),
-                    host_buf: Some(host_buf.clone()),
-                    remote_buf: None,
-                    local_recv: None,
-                    post: Some(Post::Message(host_buf)),
-                }
+            |(sid, dst_rank), members| SendPlan {
+                method: Method::Staged,
+                dst_rank,
+                tag: sid * 32 + CONSOLIDATED_SLOT,
+                bytes: members.iter().map(|p| p.bytes).sum(),
+                segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
+                pack_buf: None,
+                host_buf: None,
+                remote_buf: None,
+                local_recv: None,
+                post: None,
             },
         );
         sends = keep;
@@ -514,76 +491,82 @@ pub(crate) fn build_plans(
             recvs,
             |p| (p.method == Method::Staged).then_some((p.tag / 32, p.src_rank)),
             |p| p.tag,
-            |(sid, src_rank), members| {
-                // the host landing buffer lives on the first segment's socket
-                let device = machine.stream_device(members[0].segments[0].stream);
-                let bytes = members.iter().map(|p| p.bytes).sum();
-                let host_buf = pinned_host(&machine, device, bytes);
-                RecvPlan {
-                    method: Method::Staged,
-                    src_rank,
-                    tag: sid * 32 + CONSOLIDATED_SLOT,
-                    bytes,
-                    segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
-                    host_buf: Some(host_buf.clone()),
-                    post: Some(Post::Message(host_buf)),
-                }
+            |(sid, src_rank), members| RecvPlan {
+                method: Method::Staged,
+                src_rank,
+                tag: sid * 32 + CONSOLIDATED_SLOT,
+                bytes: members.iter().map(|p| p.bytes).sum(),
+                segments: concat_segments(members.into_iter().flat_map(|p| p.segments)),
+                host_buf: None,
+                post: None,
             },
         );
         recvs = merged;
         recvs.extend(keep);
     }
 
-    // Persistent/partitioned channel setup (`*_init`): register both ends
-    // under the plan's (rank pair, tag) key. Pays the full per-call MPI
-    // overhead once, here — every exchange then pays only the cheap start.
-    // The closing barrier below guarantees both ends exist before the
-    // first round starts.
+    // 4. Allocate and wire, sends then receives, each in final plan order.
+    //    Staging lives on the first segment's device. Persistent and
+    //    partitioned channels (`*_init`) register both ends under the
+    //    plan's (rank pair, tag) key and pay the full per-call MPI overhead
+    //    once, here; the closing barrier guarantees both ends exist before
+    //    the first round starts.
     for sp in &mut sends {
+        let device = machine.stream_device(sp.segments[0].stream);
         let (bytes, peer, tag) = (sp.bytes, sp.dst_rank, sp.tag);
+        if sp.method != Method::Kernel {
+            let pack = machine.alloc_device_untimed(device, bytes);
+            sp.pack_buf = Some(pack.expect("pack buffer"));
+        }
+        sp.host_buf = host_staged(sp.method).then(|| pinned_host(&machine, device, bytes));
         let host = sp.host_buf.as_ref();
-        sp.post = Some(match sp.method {
+        sp.post = match sp.method {
+            Method::Staged => host.cloned().map(Post::Message),
+            Method::CudaAwareMpi => sp.pack_buf.clone().map(Post::Message),
             Method::PersistentStaged => {
-                Post::Persistent(ctx.send_init(host.expect("host staging"), 0, bytes, peer, tag))
+                host.map(|h| Post::Persistent(ctx.send_init(h, 0, bytes, peer, tag)))
             }
-            Method::PartitionedStaged => {
-                let host = host.expect("host staging");
+            Method::PartitionedStaged => host.map(|h| {
                 let parts = partition_count(bytes);
-                Post::Partitioned(ctx.psend_init(host, 0, bytes, peer, tag, parts))
+                Post::Partitioned(ctx.psend_init(h, 0, bytes, peer, tag, parts))
+            }),
+            // The mailbox the handshake received.
+            Method::ColocatedMemcpy => sp.post.take(),
+            // Same rank: the sender drives the matching receive plan.
+            Method::Kernel | Method::PeerMemcpy => {
+                let idx = recvs
+                    .iter()
+                    .position(|rp| rp.tag == tag && rp.method == sp.method)
+                    .expect("same-rank send without matching local receive plan");
+                assert_eq!(
+                    recvs[idx].bytes, bytes,
+                    "same-rank send/recv plans disagree on message size"
+                );
+                sp.local_recv = Some(idx);
+                None
             }
-            _ => continue,
-        });
+        };
     }
     for rp in &mut recvs {
+        let device = machine.stream_device(rp.segments[0].stream);
         let (bytes, peer, tag) = (rp.bytes, rp.src_rank, rp.tag);
+        rp.host_buf = host_staged(rp.method).then(|| pinned_host(&machine, device, bytes));
         let host = rp.host_buf.as_ref();
-        rp.post = Some(match rp.method {
+        rp.post = match rp.method {
+            Method::Staged => host.cloned().map(Post::Message),
+            Method::CudaAwareMpi => rp.segments[0].dev_buf.clone().map(Post::Message),
             Method::PersistentStaged => {
-                Post::Persistent(ctx.recv_init(host.expect("host staging"), 0, bytes, peer, tag))
+                host.map(|h| Post::Persistent(ctx.recv_init(h, 0, bytes, peer, tag)))
             }
-            Method::PartitionedStaged => {
-                let host = host.expect("host staging");
+            Method::PartitionedStaged => host.map(|h| {
                 let parts = partition_count(bytes);
-                Post::Partitioned(ctx.precv_init(host, 0, bytes, peer, tag, parts))
-            }
-            _ => continue,
-        });
-    }
-
-    // Link each same-rank send to its receive plan. This must happen after
-    // consolidation, which reorders `recvs`.
-    for sp in &mut sends {
-        if matches!(sp.method, Method::Kernel | Method::PeerMemcpy) {
-            let idx = recvs
-                .iter()
-                .position(|rp| rp.tag == sp.tag && rp.method == sp.method)
-                .expect("same-rank send without matching local receive plan");
-            assert_eq!(
-                recvs[idx].bytes, sp.bytes,
-                "same-rank send/recv plans disagree on message size"
-            );
-            sp.local_recv = Some(idx);
-        }
+                Post::Partitioned(ctx.precv_init(h, 0, bytes, peer, tag, parts))
+            }),
+            // Its own mailbox, shared by the handshake.
+            Method::ColocatedMemcpy => rp.post.take(),
+            // Driven by the same-rank sender.
+            Method::Kernel | Method::PeerMemcpy => None,
+        };
     }
     ctx.barrier();
     Plans {

@@ -2,6 +2,7 @@
 //! accounting, and failure modes spanning gpusim + mpisim + stencil-core.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use gpusim::GpuCostModel;
@@ -32,6 +33,42 @@ fn domain_build_accounts_device_memory() {
     let max = *v.iter().max().unwrap() as f64;
     let min = *v.iter().min().unwrap() as f64;
     assert!(max / min < 1.6, "allocations should be balanced: {v:?}");
+}
+
+/// Device memory in use on every device of a 2-node × 6-rank
+/// `Methods::all()` world: after the build, and after the plans are
+/// rebuilt on the healthy world.
+fn device_mem_after_build_and_rebuild(consolidate: bool) -> BTreeMap<usize, [u64; 2]> {
+    let used: Rc<RefCell<BTreeMap<usize, [u64; 2]>>> = Rc::default();
+    let u2 = Rc::clone(&used);
+    run_world(WorldConfig::new(summit_cluster(2), 6), move |ctx| {
+        let mut dom = DomainBuilder::new([96, 96, 96])
+            .radius(2)
+            .quantities(4)
+            .methods(Methods::all())
+            .consolidate(consolidate)
+            .build(ctx);
+        let m = ctx.machine();
+        let built: Vec<u64> = ctx.gpus().iter().map(|&d| m.device_mem_used(d)).collect();
+        dom.rejoin_after_respawn(ctx);
+        for (&d, built) in ctx.gpus().iter().zip(built) {
+            u2.borrow_mut().insert(d, [built, m.device_mem_used(d)]);
+        }
+    });
+    Rc::try_unwrap(used).expect("world finished").into_inner()
+}
+
+#[test]
+fn consolidation_allocates_what_plain_plans_allocate() {
+    // A merged message packs into one buffer the size of its members'
+    // buffers together, so consolidating moves no device memory, and a
+    // rebuild frees everything the build allocated.
+    let plain = device_mem_after_build_and_rebuild(false);
+    assert_eq!(plain.len(), 12);
+    for (d, [built, rebuilt]) in &plain {
+        assert_eq!(built, rebuilt, "device {d}: a rebuild moved device memory");
+    }
+    assert_eq!(device_mem_after_build_and_rebuild(true), plain);
 }
 
 #[test]
