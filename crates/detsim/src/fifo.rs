@@ -1,14 +1,15 @@
 //! FIFO service resources.
 //!
-//! A [`FifoId`] names a queue with a bounded number of concurrent service
-//! slots. Tasks submitted to it start in submission order as slots free up.
-//! A task is an *asynchronous* unit of work: when started it receives a
-//! [`FifoToken`] and may kick off flows or schedule events; the slot is held
-//! until someone calls [`Kernel::fifo_task_done`] with the token.
+//! A [`FifoId`] names a serial queue: tasks submitted to it run one at a
+//! time, in submission order. A task is an *asynchronous* unit of work:
+//! when started it receives a [`FifoToken`] and may kick off flows or
+//! schedule events; the FIFO stays busy until someone calls
+//! [`Kernel::fifo_task_done`] with the token.
 //!
-//! This one abstraction models all the serialized engines in the simulated
-//! machine: CUDA streams (concurrency 1), GPU copy engines, GPU kernel
-//! engines, per-rank MPI progress engines, and NIC packet processors.
+//! The simulated machine's FIFOs are its CUDA streams. What several
+//! streams or ranks share — a GPU's copy and kernel engine, a rank's
+//! shared-memory pump, a NIC — is a flow link, whose bandwidth concurrent
+//! transfers divide.
 
 use std::collections::VecDeque;
 
@@ -19,10 +20,10 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FifoId(usize);
 
-/// Proof that a task occupies a slot of a FIFO; hand it back via
-/// [`Kernel::fifo_task_done`] to release the slot.
+/// Proof that a task occupies a FIFO; hand it back via
+/// [`Kernel::fifo_task_done`] to release it.
 #[derive(Debug)]
-#[must_use = "the FIFO slot is held until fifo_task_done is called with this token"]
+#[must_use = "the FIFO is held until fifo_task_done is called with this token"]
 pub struct FifoToken {
     fifo: FifoId,
 }
@@ -31,8 +32,7 @@ type Task = Box<dyn FnOnce(&mut Kernel, FifoToken)>;
 
 struct Fifo {
     name: String,
-    concurrency: usize,
-    active: usize,
+    busy: bool,
     /// Waiting tasks with their submission times (for wait-time metrics).
     queue: VecDeque<(SimTime, Task)>,
     completed: u64,
@@ -49,21 +49,19 @@ impl FifoTable {
 }
 
 impl Kernel {
-    /// Create a FIFO resource with `concurrency` simultaneous service slots.
-    pub fn add_fifo(&mut self, name: impl Into<String>, concurrency: usize) -> FifoId {
-        assert!(concurrency > 0, "fifo needs at least one slot");
+    /// Create a serial FIFO resource.
+    pub fn add_fifo(&mut self, name: impl Into<String>) -> FifoId {
         self.fifos.fifos.push(Fifo {
             name: name.into(),
-            concurrency,
-            active: 0,
+            busy: false,
             queue: VecDeque::new(),
             completed: 0,
         });
         FifoId(self.fifos.fifos.len() - 1)
     }
 
-    /// Submit a task. It starts immediately if a slot is free, otherwise when
-    /// earlier tasks release slots, always in submission order.
+    /// Submit a task. It starts immediately if the FIFO is idle, otherwise
+    /// when every earlier task has released it, in submission order.
     pub fn fifo_submit(
         &mut self,
         fifo: FifoId,
@@ -71,8 +69,8 @@ impl Kernel {
     ) {
         let now = self.now();
         let f = &mut self.fifos.fifos[fifo.0];
-        if f.active < f.concurrency && f.queue.is_empty() {
-            f.active += 1;
+        if !f.busy {
+            f.busy = true;
             if self.metrics.is_enabled() {
                 let name: &str = &self.fifos.fifos[fifo.0].name;
                 self.metrics
@@ -89,8 +87,8 @@ impl Kernel {
         }
     }
 
-    /// Convenience: a task that simply occupies a slot for `service` time.
-    /// `on_done` runs when the slot is released.
+    /// Convenience: a task that simply occupies the FIFO for `service`
+    /// time. `on_done` runs when the FIFO is released.
     pub fn fifo_submit_timed(
         &mut self,
         fifo: FifoId,
@@ -105,26 +103,23 @@ impl Kernel {
         });
     }
 
-    /// Release the slot held by `token`; starts the next queued task, if any.
+    /// Release the FIFO held by `token`; starts the next queued task, if any.
     pub fn fifo_task_done(&mut self, token: FifoToken) {
         let now = self.now();
         let f = &mut self.fifos.fifos[token.fifo.0];
-        debug_assert!(f.active > 0, "fifo_task_done without active task");
-        f.active -= 1;
+        debug_assert!(f.busy, "fifo_task_done without active task");
         f.completed += 1;
-        if f.active < f.concurrency {
-            if let Some((submitted, next)) = f.queue.pop_front() {
-                f.active += 1;
-                if self.metrics.is_enabled() {
-                    let name: &str = &self.fifos.fifos[token.fifo.0].name;
-                    let wait = now.since(submitted).picos() as f64;
-                    self.metrics
-                        .observe("fifo", "wait_ps", &[("fifo", name)], wait);
-                    self.metrics
-                        .gauge_add("fifo", "queue_depth", &[("fifo", name)], -1.0);
-                }
-                next(self, FifoToken { fifo: token.fifo });
+        f.busy = !f.queue.is_empty();
+        if let Some((submitted, next)) = f.queue.pop_front() {
+            if self.metrics.is_enabled() {
+                let name: &str = &self.fifos.fifos[token.fifo.0].name;
+                let wait = now.since(submitted).picos() as f64;
+                self.metrics
+                    .observe("fifo", "wait_ps", &[("fifo", name)], wait);
+                self.metrics
+                    .gauge_add("fifo", "queue_depth", &[("fifo", name)], -1.0);
             }
+            next(self, FifoToken { fifo: token.fifo });
         }
     }
 
@@ -136,7 +131,7 @@ impl Kernel {
     /// Tasks currently being served plus queued.
     pub fn fifo_backlog(&self, fifo: FifoId) -> usize {
         let f = &self.fifos.fifos[fifo.0];
-        f.active + f.queue.len()
+        usize::from(f.busy) + f.queue.len()
     }
 
     /// Human-readable FIFO name.
@@ -144,13 +139,13 @@ impl Kernel {
         &self.fifos.fifos[fifo.0].name
     }
 
-    /// Diagnostic: all FIFOs with active or queued tasks.
-    pub fn busy_fifos(&self) -> Vec<(String, usize, usize)> {
+    /// Diagnostic: each busy FIFO with the count of tasks queued behind it.
+    pub fn busy_fifos(&self) -> Vec<(String, usize)> {
         self.fifos
             .fifos
             .iter()
-            .filter(|f| f.active > 0 || !f.queue.is_empty())
-            .map(|f| (f.name.clone(), f.active, f.queue.len()))
+            .filter(|f| f.busy)
+            .map(|f| (f.name.clone(), f.queue.len()))
             .collect()
     }
 }
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn serial_fifo_serializes() {
         let mut k = Kernel::new();
-        let f = k.add_fifo("stream", 1);
+        let f = k.add_fifo("stream");
         let ends: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for _ in 0..3 {
             let ends = Rc::clone(&ends);
@@ -187,28 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_two_overlaps_pairs() {
-        let mut k = Kernel::new();
-        let f = k.add_fifo("engines", 2);
-        let ends: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
-        for _ in 0..4 {
-            let ends = Rc::clone(&ends);
-            k.fifo_submit_timed(f, SimDuration::from_micros(10), move |k| {
-                ends.borrow_mut().push(k.now().picos());
-            });
-        }
-        k.run_to_completion();
-        let us = |n| SimDuration::from_micros(n).picos();
-        assert_eq!(*ends.borrow(), vec![us(10), us(10), us(20), us(20)]);
-    }
-
-    #[test]
     fn async_task_holds_slot_until_done() {
         let mut k = Kernel::new();
-        let f = k.add_fifo("stream", 1);
+        let f = k.add_fifo("stream");
         let l = k.add_link("link", 100.0, SimDuration::ZERO);
         let order: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
-        // Task 1: a flow of 100 bytes (1 second), slot held until it lands.
+        // Task 1: a flow of 100 bytes (1 second), FIFO held until it lands.
         let o1 = Rc::clone(&order);
         k.fifo_submit(f, move |k, token| {
             k.start_flow(&[l], 100, move |k| {
@@ -230,7 +209,7 @@ mod tests {
     #[test]
     fn backlog_tracks_queue() {
         let mut k = Kernel::new();
-        let f = k.add_fifo("q", 1);
+        let f = k.add_fifo("q");
         for _ in 0..5 {
             k.fifo_submit_timed(f, SimDuration::from_micros(1), |_| {});
         }

@@ -13,8 +13,7 @@
 //! * **Flow network** — bulk transfers over shared links with bottleneck
 //!   fair-share bandwidth division (models NVLink / X-Bus / InfiniBand
 //!   contention).
-//! * **FIFO resources** — bounded-concurrency service queues (models CUDA
-//!   streams, copy engines, kernel engines, MPI progress threads).
+//! * **FIFO resources** — serial service queues (models CUDA streams).
 //! * **Cooperative scheduler** ([`Sim`], [`SimCtx`]) — simulated processes
 //!   run as stackful coroutines on one OS thread, one at a time, handed a
 //!   run token in deterministic order; blocking operations advance virtual

@@ -84,7 +84,7 @@ impl GpuMachine {
                     streams: Cell::new(1),
                 });
                 // Default stream: registry slot == global device id.
-                let fifo = kernel.add_fifo(format!("n{node}.g{g}.s0"), 1);
+                let fifo = kernel.add_fifo(format!("n{node}.g{g}.s0"));
                 let track = kernel.trace.add_track(format!("n{node}.g{g} default"));
                 streams.push(StreamInfo {
                     device: node * gpus_per_node + g,
@@ -248,7 +248,7 @@ impl GpuMachine {
         let local = self.local_of(device);
         let count = &self.inner.devices[device].streams;
         let per_dev = count.get();
-        let fifo = k.add_fifo(format!("n{node}.g{local}.s{per_dev}"), 1);
+        let fifo = k.add_fifo(format!("n{node}.g{local}.s{per_dev}"));
         let track = k
             .trace
             .add_track(format!("n{node}.g{local} stream{per_dev}"));
