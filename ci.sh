@@ -26,14 +26,20 @@ echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
 
 echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes; table1, fig3, fig4, fig9 take no flags; each twice, stdout must repeat)"
-for b in fig11 fig12a fig12b fig12c fig13 ablation table1 fig3 fig4 fig9; do
-    ./target/release/$b --max-nodes 2 --iters 1 >/tmp/fig_smoke_1.txt
-    ./target/release/$b --max-nodes 2 --iters 1 >/tmp/fig_smoke_2.txt
+smoke_twice() {
+    ./target/release/"$@" >/tmp/fig_smoke_1.txt
+    ./target/release/"$@" >/tmp/fig_smoke_2.txt
     if ! cmp -s /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt; then
-        echo "$b: two runs printed different stdout"
+        echo "$1: two runs printed different stdout"
         diff /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt || true
         exit 1
     fi
+}
+for b in fig11 fig12a fig12b fig12c fig13 ablation; do
+    smoke_twice $b --max-nodes 2 --iters 1
+done
+for b in table1 fig3 fig4 fig9; do
+    smoke_twice $b
 done
 
 echo "==> example smoke (all seven; five assert their distributed result)"

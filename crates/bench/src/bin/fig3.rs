@@ -29,6 +29,7 @@ fn total_exchange_volume(p: &Partition, r: u64) -> u64 {
 }
 
 fn main() {
+    stencil_bench::no_args();
     let domain = [60u64, 60, 1];
     let r = 1;
     println!("Fig. 3 — total exchanged bytes for partitions of a 60x60 domain (r={r})");

@@ -5,6 +5,7 @@ use stencil_core::partition::{choose_dims, prime_factors};
 use stencil_core::Partition;
 
 fn main() {
+    stencil_bench::no_args();
     let domain = [4u64, 24, 2];
     println!("Fig. 4 — hierarchical decomposition of a 4x24x2 domain, 12 nodes x 4 GPUs");
     println!("--------------------------------------------------------------------------");

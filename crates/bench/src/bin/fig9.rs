@@ -10,6 +10,7 @@ use stencil_core::{DomainBuilder, Methods};
 use topo::summit::summit_cluster;
 
 fn main() {
+    stencil_bench::no_args();
     // Two ranks on one node, three GPUs each (the paper's run drove two
     // GPUs per rank on the 4-GPU partition of a Summit node; our node model
     // keeps all six GPUs).

@@ -6,6 +6,7 @@ use topo::summit::{summit_cluster, summit_node, HBM_BW, NIC_BW, NVLINK_BW, XBUS_
 use topo::{Fabric, NodeDiscovery};
 
 fn main() {
+    stencil_bench::no_args();
     println!("Table I — simulated hardware summary");
     println!("------------------------------------");
     println!(

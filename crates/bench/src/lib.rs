@@ -104,6 +104,17 @@ fn parse_bench_args(default_max_nodes: usize, args: impl Iterator<Item = String>
     parsed
 }
 
+/// Reject every command-line argument, for the binaries that take none.
+pub fn no_args() {
+    reject_args(std::env::args().skip(1));
+}
+
+fn reject_args(mut args: impl Iterator<Item = String>) {
+    if let Some(arg) = args.next() {
+        panic!("unexpected argument {arg} (this binary takes no flags)");
+    }
+}
+
 /// Write a metrics report as JSON to `path` and print a one-line note.
 pub fn write_metrics_json(path: &str, report: &detsim::MetricsReport) {
     std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -177,6 +188,13 @@ mod tests {
         assert_eq!(d.max_nodes, 256);
         assert_eq!(d.iters, 2);
         assert!(d.metrics.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument --max-nodes")]
+    fn no_args_rejects_any_argument() {
+        reject_args(std::iter::empty());
+        reject_args(["--max-nodes", "2"].iter().map(|s| s.to_string()));
     }
 
     #[test]
