@@ -1,6 +1,7 @@
 //! Ablation beyond the paper's figures: placement x specialization grid,
 //! plus the QAP-solver comparison (exhaustive vs greedy+2-opt), isolating
-//! each design choice's contribution on the Fig. 11 worst-case domain.
+//! each design choice's contribution on the Fig. 11 worst-case domain,
+//! and message consolidation at three per-GPU sizes in weak scaling.
 
 use stencil_bench::{bench_args, fmt_ms, tiers, write_metrics_json};
 use stencil_core::dim3::Neighborhood;
@@ -10,7 +11,7 @@ use topo::summit::summit_node;
 use topo::NodeDiscovery;
 
 fn main() {
-    let args = bench_args(1);
+    let args = bench_args(32);
     let iters = args.iters;
     let mut last_report = None;
     let domain = [1440u64, 1452, 700];
@@ -48,38 +49,42 @@ fn main() {
 
     // Paper §VI, after [3]: "fewer, larger MPI messages tend to achieve
     // better performance, but our messages may already be few enough and
-    // large enough." Test the conjecture: consolidate staged messages per
-    // (subdomain, destination rank) at several scales.
+    // large enough." Consolidate staged messages per (subdomain,
+    // destination rank): the small per-GPU sizes show where it wins, the
+    // paper's 750³ where it loses.
     println!("Message consolidation (staged transfers grouped per subdomain+rank):");
     println!(
-        "{:>6} | {:>12} {:>12} | ratio",
-        "nodes", "plain", "consolidated"
+        "{:>7} {:>6} | {:>12} {:>12} | ratio",
+        "per GPU", "nodes", "plain", "consolidated"
     );
-    for nodes in [2usize, 8, 32] {
-        let extent = stencil_bench::weak_scaling_extent(750, nodes * 6);
-        let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3])
-            .methods(Methods::all())
-            .iters(iters);
-        let plain = svc::execute(&spec, None).mean;
-        // Collect the metrics artifact from the consolidated run at each
-        // scale; the last (32-node) snapshot is the one written out.
-        let gr = svc::execute(
-            &spec
-                .consolidate(true)
-                .collect_metrics(args.metrics.is_some()),
-            None,
-        );
-        if let Some(report) = gr.metrics {
-            last_report = Some(report);
+    for per_gpu in [128u64, 256, 750] {
+        for nodes in [2usize, 8, 32].into_iter().filter(|&n| n <= args.max_nodes) {
+            let extent = stencil_bench::weak_scaling_extent(per_gpu, nodes * 6);
+            let spec = JobSpec::new("bench", ClusterPreset::Summit { nodes }, 6, [extent; 3])
+                .methods(Methods::all())
+                .iters(iters);
+            let plain = svc::execute(&spec, None).mean;
+            // Collect the metrics artifact from each consolidated run; the
+            // last (750³, largest scale) snapshot is the one written out.
+            let gr = svc::execute(
+                &spec
+                    .consolidate(true)
+                    .collect_metrics(args.metrics.is_some()),
+                None,
+            );
+            if let Some(report) = gr.metrics {
+                last_report = Some(report);
+            }
+            let grouped = gr.mean;
+            println!(
+                "{:>6}³ {:>6} | {} {} | {:.3}x",
+                per_gpu,
+                nodes,
+                fmt_ms(plain),
+                fmt_ms(grouped),
+                plain / grouped
+            );
         }
-        let grouped = gr.mean;
-        println!(
-            "{:>6} | {} {} | {:.3}x",
-            nodes,
-            fmt_ms(plain),
-            fmt_ms(grouped),
-            plain / grouped
-        );
     }
     println!();
 
