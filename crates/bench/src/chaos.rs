@@ -78,7 +78,8 @@ pub struct ArmRun {
     /// localization re-solved only node `n`, `Some(None)` for a global
     /// re-solve, `None` when nothing migrated.
     pub adapted_node: Option<Option<usize>>,
-    /// Metrics snapshot of the run.
+    /// Metrics snapshot of the run, when [`AdaptScenario::metrics`] asked
+    /// for one.
     pub metrics: Option<MetricsReport>,
 }
 
@@ -106,6 +107,8 @@ pub struct AdaptScenario {
     /// The rank kill's offset into `fault`, and the device whose memory
     /// shrinks with it when the kill is an OOM.
     kill: Option<(SimDuration, Option<usize>)>,
+    /// Collect a metrics snapshot of every run.
+    metrics: bool,
 }
 
 /// The same-island GPU pair of node `node` (linear index) carrying the
@@ -212,6 +215,7 @@ impl AdaptScenario {
             fresh: fault.clone(),
             fault,
             kill: None,
+            metrics: false,
         }
     }
 
@@ -256,7 +260,16 @@ impl AdaptScenario {
             fault: degrade(kill_at).merge(kill),
             fresh: degrade(SimDuration::ZERO),
             kill: Some((kill_at, oom.then_some(victim_device))),
+            metrics: false,
         }
+    }
+
+    /// Collect a metrics snapshot ([`ArmRun::metrics`]) of every run. Off
+    /// by default; the registry only observes, so this changes no
+    /// adaptation decision and no virtual-time bit.
+    pub fn metrics(mut self, on: bool) -> Self {
+        self.metrics = on;
+        self
     }
 
     /// Play the scenario under `arm`: build, run `warmup_iters` healthy
@@ -291,7 +304,7 @@ impl AdaptScenario {
         };
         let world = WorldConfig::new(self.cluster.clone(), self.ranks_per_node)
             .data_mode(DataMode::Virtual)
-            .metrics(true)
+            .metrics(self.metrics)
             .faults(faults);
         // Only the adapting arms watch their health: one window per
         // iteration, baseline = mean of the warmup windows.
@@ -328,7 +341,7 @@ impl AdaptScenario {
                 dom.exchange(ctx);
                 mine.push(ctx.wtime() - t0);
                 // Barrier-synchronized checkpoint: every rank sees the same
-                // registry and reaches the same verdict.
+                // exchange totals and reaches the same verdict.
                 ctx.barrier();
                 if let Some(monitor) = monitor.as_mut() {
                     monitor.check(ctx);

@@ -24,7 +24,7 @@
 //! allocates the final messages' pack and pinned-host staging and wires
 //! each one's `Post`, so a merged message owns one pack buffer.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -781,6 +781,16 @@ impl Transfer {
     }
 }
 
+/// The world's running `(count, sum)` of exchange critical paths
+/// ([`ExchangeTiming::total`], picoseconds) over every exchange of every
+/// rank. Unlike the metrics registry it is always on: health checks read
+/// it. [`DistributedDomain::exchange_finish`] adds to it right before it
+/// records `exchange/total_ps`, in the same order, so with metrics on the
+/// pair equals that histogram's count and sum to the bit.
+pub(crate) fn exchange_totals(ctx: &RankCtx) -> Rc<Cell<(u64, f64)>> {
+    ctx.cached_setup("stencil-core/exchange-totals", || Cell::new((0, 0.0)))
+}
+
 /// An in-flight exchange started by
 /// [`DistributedDomain::exchange_start`]; finish it with
 /// [`DistributedDomain::exchange_finish`]. Compute on subdomain interiors
@@ -963,6 +973,9 @@ impl DistributedDomain {
             }
             ctx.wait_any_completion(&blockers);
         }
+        let totals = exchange_totals(ctx);
+        let (count, sum) = totals.get();
+        totals.set((count + 1, sum + timing.total.picos() as f64));
         self.record_exchange_metrics(ctx, &timing);
         timing
     }

@@ -9,11 +9,13 @@
 //! 1. An [`AdaptPolicy`] describes *when* to react (degradation threshold,
 //!    warmup, hysteresis, predicted cost/benefit gate) and *how* (migration
 //!    mode, re-solve scope). It builds a [`HealthMonitor`].
-//! 2. The [`HealthMonitor`] reads the metrics registry's per-exchange
-//!    timing histogram at barrier-synchronized checkpoints, flags windows
-//!    whose mean exchange time exceeds its warm baseline by the threshold
-//!    factor, and — from the per-link busy counters the simulator already
-//!    keeps — localizes *which node's* intra-node fabric degraded.
+//! 2. The [`HealthMonitor`] reads the world's running total of exchange
+//!    times, which the exchange engine always keeps, at
+//!    barrier-synchronized checkpoints, flags windows whose mean exchange
+//!    time exceeds its warm baseline by the threshold factor, and — from
+//!    the per-link busy counters the simulator already keeps — localizes
+//!    *which node's* intra-node fabric degraded. Neither input is the
+//!    metrics registry, so the metrics switch changes no verdict.
 //! 3. [`DistributedDomain::adapt`] turns a verdict into an
 //!    [`AdaptOutcome`]: it short-circuits before any probe traffic when
 //!    the collective verdict is healthy or gated, re-probes empirical
@@ -23,9 +25,9 @@
 //!    overlapped with each other under [`MigrationMode::Overlapped`].
 //!
 //! Every step is collective and deterministic: every rank reads the same
-//! registry state after a barrier, computes identical placements from the
-//! same (gathered or broadcast) matrices, and therefore takes the same
-//! branch — there is no coordinator and no races.
+//! totals and counters after a barrier, computes identical placements
+//! from the same (gathered or broadcast) matrices, and therefore takes the
+//! same branch — there is no coordinator and no races.
 //!
 //! Rank failure (the shrink-or-respawn contract of `mpisim`) is handled by
 //! one collective call, [`DistributedDomain::rejoin_after_respawn`], on
@@ -38,7 +40,7 @@ use mpisim::{RankCtx, Request};
 use crate::dim3::{Boundary, Neighborhood};
 use crate::domain::{alloc_locals, DistributedDomain, DomainSpec};
 use crate::empirical::{distance_from_measured, measure_node_bandwidths, DEFAULT_PROBE_BYTES};
-use crate::exchange::build_plans;
+use crate::exchange::{build_plans, exchange_totals};
 use crate::local::LocalDomain;
 use crate::partition::Partition;
 use crate::placement::{flow_matrix_bc, place_with_distance, Placement, PlacementStrategy};
@@ -174,8 +176,8 @@ impl AdaptPolicy {
 /// Why [`DistributedDomain::adapt`] declined to migrate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SkipReason {
-    /// No verdict yet: metrics disabled, empty window, or the baseline is
-    /// still warming up.
+    /// No verdict yet: an empty window, or the baseline is still warming
+    /// up.
     Warmup,
     /// Degraded, but not for enough consecutive windows yet.
     Hysteresis {
@@ -237,8 +239,8 @@ pub enum AdaptOutcome {
 /// Verdict of one health checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Health {
-    /// No verdict: metrics are disabled, no exchanges ran since the last
-    /// checkpoint, or the baseline is still warming up.
+    /// No verdict: no exchanges ran since the last checkpoint, or the
+    /// baseline is still warming up.
     Warmup,
     /// Mean exchange time within `threshold` × baseline.
     Ok {
@@ -280,22 +282,21 @@ struct LinkWatch {
 /// (e.g. a respawn down-window) stretching the checkpoint interval.
 const LOCALIZE_DOMINANCE: f64 = 2.0;
 
-/// Watches the `exchange/total_ps` histogram of the metrics registry and
-/// flags degradation relative to a warm baseline, localizing the suspect
-/// node from per-link busy counters.
+/// Watches the world's running `(count, sum)` of exchange times, which the
+/// exchange engine keeps whether or not metrics are on, and flags
+/// degradation relative to a warm baseline, localizing the suspect node
+/// from per-link busy counters.
 ///
 /// Build one from an [`AdaptPolicy`] (`policy.monitor()`), run a few
 /// exchanges, and call [`HealthMonitor::check`] — or, usually, let
 /// [`DistributedDomain::adapt`] call it — at a **barrier-synchronized
 /// point** (e.g. right after the iteration's collective exchange returns).
-/// Every rank then reads identical registry state and reaches the same
-/// verdict, so the verdict can safely gate the collective adaptation.
-/// Requires metrics to be enabled (`WorldConfig::metrics(true)`); with
-/// metrics off every check returns [`Health::Warmup`].
+/// Every rank then reads identical totals and reaches the same verdict, so
+/// the verdict can safely gate the collective adaptation.
 #[derive(Debug)]
 pub struct HealthMonitor {
     policy: AdaptPolicy,
-    /// Histogram position at the last checkpoint.
+    /// Exchange-total position at the last checkpoint.
     last_count: u64,
     last_sum: f64,
     /// Baseline accumulation (mean of the first `warmup_windows` windows).
@@ -329,14 +330,7 @@ impl HealthMonitor {
     /// Close the window since the previous checkpoint and return a verdict.
     /// Call at a barrier-synchronized point on every rank.
     pub fn check(&mut self, ctx: &RankCtx) -> Health {
-        let hist = ctx.sim().with_kernel(|k| {
-            k.metrics
-                .histogram("exchange", "total_ps", &[])
-                .map(|h| (h.count, h.sum))
-        });
-        let Some((count, sum)) = hist else {
-            return Health::Warmup;
-        };
+        let (count, sum) = exchange_totals(ctx).get();
         let dcount = count - self.last_count;
         let dsum = sum - self.last_sum;
         self.last_count = count;

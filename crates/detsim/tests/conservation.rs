@@ -190,6 +190,7 @@ fn link_busy_ps_counts_only_intervals_with_active_flows() {
         k.run_to_completion();
         start_one(&mut k, SimDuration::from_millis(1), vec![0], 1000);
         k.run_to_completion();
+        let report = k.metrics.report();
         for (i, spans) in spans.borrow_mut().iter_mut().enumerate() {
             spans.sort_unstable();
             let (mut union, mut reach) = (0u64, 0u64);
@@ -201,9 +202,7 @@ fn link_busy_ps_counts_only_intervals_with_active_flows() {
                 }
             }
             let name = format!("l{i}");
-            let busy = k
-                .metrics
-                .counter("flow", "link_busy_ps", &[("link", name.as_str())]);
+            let busy = report.counter("flow", "link_busy_ps", &[("link", name.as_str())]);
             assert_eq!(
                 busy, union,
                 "seed {seed}: {name} counted {busy} ps busy, flows covered {union} ps"

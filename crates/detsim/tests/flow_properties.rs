@@ -5,6 +5,7 @@
 //! ranges (no external property-testing dependency), so every run exercises
 //! the same inputs.
 
+use detsim::metrics::MetricValue;
 use detsim::{Kernel, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -97,27 +98,23 @@ fn prop_metrics_conserve_link_bytes() {
         }
         k.run_to_completion();
         let elapsed = k.now().picos();
+        let report = k.metrics.report();
         for (i, &l) in links.iter().enumerate() {
             let name = format!("l{i}");
-            let metric = k
-                .metrics
-                .counter("flow", "link_delivered_bytes", &[("link", &name)]);
+            let metric = report.counter("flow", "link_delivered_bytes", &[("link", &name)]);
             assert_eq!(
                 metric,
                 k.link_delivered(l),
                 "case {case}: metric bytes != link_delivered on {name}"
             );
-            let busy = k
-                .metrics
-                .counter("flow", "link_busy_ps", &[("link", &name)]);
+            let busy = report.counter("flow", "link_busy_ps", &[("link", &name)]);
             assert!(
                 busy <= elapsed,
                 "case {case}: busy {busy} ps exceeds elapsed {elapsed} ps"
             );
             // the active-flow gauge must have drained back to zero
-            if let Some(g) = k
-                .metrics
-                .gauge("flow", "link_active_flows", &[("link", &name)])
+            if let Some(MetricValue::Gauge(g)) =
+                report.get("flow", "link_active_flows", &[("link", &name)])
             {
                 assert_eq!(g.current, 0.0, "case {case}: flows left on {name}");
                 assert!(g.max >= 1.0, "case {case}: no high-water mark on {name}");
