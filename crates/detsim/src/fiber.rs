@@ -20,6 +20,9 @@
 //!   mutable slots and a `RefCell` for the kernel.
 //! * Unwinding never crosses a `fiber_switch`: the fiber entry wrapper
 //!   catches every panic before it could reach the assembly frame.
+//! * A fiber whose closure returns has dropped everything it owned, and
+//!   `Runtime::spawn`'s allocation with it, before it parks for good; its
+//!   stack is then freed with nothing live on it.
 //! * A fiber that is abandoned mid-flight (simulation poisoned while it
 //!   still has frames on its stack) is never resumed again; its stack
 //!   memory is freed without running the remaining destructors, which can
@@ -47,9 +50,17 @@ pub(crate) const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 const STACK_CANARY: u64 = 0xFEED_FACE_CAFE_BEEF;
 
 /// The boxed entry closure a fiber runs. Receives the first resume message
-/// ([`RESUME_RUN`] or [`RESUME_POISON`]) and must never return: it ends by
-/// switching back to the scheduler forever.
+/// ([`RESUME_RUN`] or [`RESUME_POISON`]); once it returns, the fiber parks
+/// in the scheduler forever.
 pub(crate) type FiberFn = Box<dyn FnOnce(usize)>;
+
+/// What `Runtime::spawn` stashes on a fresh stack: the closure, and where
+/// the fiber parks once the closure has returned.
+struct FiberEntry {
+    f: FiberFn,
+    rt: *const Runtime,
+    tid: usize,
+}
 
 // ---------------------------------------------------------------------------
 // Context switch (per architecture)
@@ -179,16 +190,23 @@ unsafe extern "C" fn fiber_entry(arg: *mut u8, msg: usize) -> ! {
 compile_error!("detsim's fiber runtime supports x86_64 and aarch64 only");
 
 fn fiber_entry_impl(arg: *mut u8, msg: usize) -> ! {
-    {
-        // Reclaim the double-boxed closure stashed by `Runtime::spawn`.
-        let f: Box<FiberFn> = unsafe { Box::from_raw(arg.cast()) };
+    let (rt, tid) = {
+        // Reclaim the entry stashed by `Runtime::spawn`; both it and the
+        // closure are freed here, once the closure has returned.
+        // SAFETY: `arg` is the pointer `spawn` got from `Box::into_raw` of
+        // a `Box<FiberEntry>`, and a fiber's entry runs once.
+        let entry: Box<FiberEntry> = unsafe { Box::from_raw(arg.cast()) };
+        let FiberEntry { f, rt, tid } = *entry;
         f(msg);
+        (rt, tid)
+    };
+    // Park: the scheduler never resumes a finished fiber, and there is no
+    // frame to return into.
+    loop {
+        // SAFETY: `rt` is the runtime that spawned this fiber, which
+        // outlives every fiber it can resume, and this is fiber `tid`.
+        unsafe { (*rt).yield_to_scheduler(tid, 0) };
     }
-    // The closure must end by parking itself in the runtime (it switches to
-    // the scheduler in a loop and is never resumed once finished). If it
-    // ever returns there is no frame to return into; fail loudly.
-    eprintln!("detsim: fiber entry returned — runtime bug");
-    std::process::abort();
 }
 
 // ---------------------------------------------------------------------------
@@ -293,13 +311,21 @@ impl Runtime {
     }
 
     /// Allocate a stack for fiber `tid` (== current slot count) and arm it
-    /// with `f`. Must be called for all fibers before the first `resume`.
+    /// with `f`. Must be called for all fibers before the first `resume`,
+    /// and the runtime must not move afterwards: the fiber parks through a
+    /// pointer to it.
     pub(crate) fn spawn(&self, f: FiberFn, stack_size: usize) {
         let mut stack = FiberStack::new(stack_size);
-        // Double-box so a single thin pointer carries the fat closure.
-        let arg = Box::into_raw(Box::new(f)) as *mut u8;
+        let mut slots = self.slots.borrow_mut();
+        let entry = FiberEntry {
+            f,
+            rt: self,
+            tid: slots.len(),
+        };
+        // Boxed so a single thin pointer carries the fat closure.
+        let arg = Box::into_raw(Box::new(entry)) as *mut u8;
         let sp = Cell::new(stack.init_frame(arg));
-        self.slots.borrow_mut().push(FiberSlot { sp, stack });
+        slots.push(FiberSlot { sp, stack });
     }
 
     /// Scheduler side: run fiber `tid` until it switches back. Returns the

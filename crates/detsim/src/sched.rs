@@ -410,9 +410,10 @@ fn poison_teardown(kernel: &RefCell<Kernel>, rt: &Runtime) {
 }
 
 /// Body of every fiber: run the rank program, catch any unwind before it
-/// could reach the context-switch frame, record the outcome, then park
-/// forever (the scheduler never resumes a finished fiber; its stack is
-/// freed when the runtime drops).
+/// could reach the context-switch frame, and record the outcome. Returning
+/// drops everything the fiber owns; the fiber runtime then parks it for
+/// good (the scheduler never resumes a finished fiber; its stack is freed
+/// when the runtime drops).
 fn fiber_main(
     kernel: Rc<RefCell<Kernel>>,
     tid: usize,
@@ -420,41 +421,33 @@ fn fiber_main(
     program: Program,
     first_msg: usize,
 ) {
-    {
-        let ctx = SimCtx { kernel, tid, rt };
-        let panicked = if first_msg == RESUME_RUN {
-            match panic::catch_unwind(AssertUnwindSafe(|| program(&ctx))) {
-                Ok(()) => None,
-                Err(p) if p.is::<SimPoisoned>() => None,
-                Err(p) => Some(p),
-            }
-        } else {
-            // Poisoned before ever running: don't start the program.
-            drop(program);
-            None
-        };
-        let mut k = ctx.kernel.borrow_mut();
-        if k.sched.state[tid] != RankState::Finished {
-            k.sched.state[tid] = RankState::Finished;
-            k.sched.ready.remove(tid);
-            k.sched.alive -= 1;
+    let ctx = SimCtx { kernel, tid, rt };
+    let panicked = if first_msg == RESUME_RUN {
+        match panic::catch_unwind(AssertUnwindSafe(|| program(&ctx))) {
+            Ok(()) => None,
+            Err(p) if p.is::<SimPoisoned>() => None,
+            Err(p) => Some(p),
         }
-        if k.sched.current == Some(tid) {
-            k.sched.current = None;
-        }
-        if panicked.is_some() {
-            k.sched.poisoned = true;
-        }
-        drop(k);
-        if let Some(p) = panicked {
-            unsafe { (*rt).store_panic(p) };
-        }
-        // `ctx` (and its Rc) drops here, before the final switch: nothing
-        // on this stack owns heap memory any more, so freeing the stack
-        // without unwinding it leaks nothing.
+    } else {
+        // Poisoned before ever running: don't start the program.
+        drop(program);
+        None
+    };
+    let mut k = ctx.kernel.borrow_mut();
+    if k.sched.state[tid] != RankState::Finished {
+        k.sched.state[tid] = RankState::Finished;
+        k.sched.ready.remove(tid);
+        k.sched.alive -= 1;
     }
-    loop {
-        unsafe { (*rt).yield_to_scheduler(tid, 0) };
+    if k.sched.current == Some(tid) {
+        k.sched.current = None;
+    }
+    if panicked.is_some() {
+        k.sched.poisoned = true;
+    }
+    drop(k);
+    if let Some(p) = panicked {
+        unsafe { (*rt).store_panic(p) };
     }
 }
 
