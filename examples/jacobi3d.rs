@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use mpisim::{run_world, RankCtx, WorldConfig};
 use stencil_core::{DistributedDomain, DomainBuilder, Methods, Neighborhood};
-use stencil_examples::{jacobi_region_work, jacobi_traffic, shell_boxes, SerialGrid};
+use stencil_examples::{jacobi_signed_region_work, jacobi_traffic, shell_boxes, SerialGrid};
 use topo::summit::summit_cluster;
 
 const DOMAIN: [u64; 3] = [96, 80, 64];
@@ -51,19 +51,19 @@ fn run_steps(ctx: &RankCtx, dom: &DistributedDomain, overlap: bool) -> f64 {
             // Inner region: computable with stale halos (it doesn't read them).
             let mut kernels = Vec::new();
             for l in dom.locals() {
-                let e = l.interior.extent;
+                let e = l.interior.extent.map(|v| v as i64);
                 if e.iter().all(|&v| v > 2) {
                     kernels.push(l.launch_compute(
                         ctx.sim(),
                         "jacobi-inner",
                         jacobi_traffic(l) * KERNEL_WEIGHT,
-                        Some(jacobi_region_work(
+                        Some(jacobi_signed_region_work(
                             l,
                             q_src,
                             q_dst,
                             K,
-                            [1, 1, 1],
-                            [e[0] - 1, e[1] - 1, e[2] - 1],
+                            [1; 3],
+                            e.map(|v| v - 1),
                         )),
                     ));
                 }
@@ -72,11 +72,12 @@ fn run_steps(ctx: &RankCtx, dom: &DistributedDomain, overlap: bool) -> f64 {
             // Shell: needs the fresh halos.
             for l in dom.locals() {
                 for (lo, hi) in shell_boxes(l.interior.extent, 1) {
+                    let (lo_s, hi_s) = (lo.map(|v| v as i64), hi.map(|v| v as i64));
                     kernels.push(l.launch_compute(
                         ctx.sim(),
                         "jacobi-shell",
                         (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]) * 32 * KERNEL_WEIGHT,
-                        Some(jacobi_region_work(l, q_src, q_dst, K, lo, hi)),
+                        Some(jacobi_signed_region_work(l, q_src, q_dst, K, lo_s, hi_s)),
                     ));
                 }
             }
@@ -87,12 +88,12 @@ fn run_steps(ctx: &RankCtx, dom: &DistributedDomain, overlap: bool) -> f64 {
                 .locals()
                 .iter()
                 .map(|l| {
-                    let e = l.interior.extent;
+                    let e = l.interior.extent.map(|v| v as i64);
                     l.launch_compute(
                         ctx.sim(),
                         "jacobi",
                         jacobi_traffic(l) * KERNEL_WEIGHT,
-                        Some(jacobi_region_work(l, q_src, q_dst, K, [0, 0, 0], e)),
+                        Some(jacobi_signed_region_work(l, q_src, q_dst, K, [0; 3], e)),
                     )
                 })
                 .collect();

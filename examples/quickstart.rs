@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
 use stencil_core::{DomainBuilder, Methods, Neighborhood};
-use stencil_examples::{jacobi_step_work, jacobi_traffic, SerialGrid};
+use stencil_examples::{jacobi_signed_region_work, jacobi_traffic, SerialGrid};
 use topo::summit::summit_cluster;
 
 fn main() {
@@ -47,11 +47,12 @@ fn main() {
                 .locals()
                 .iter()
                 .map(|l| {
+                    let e = l.interior.extent.map(|v| v as i64);
                     l.launch_compute(
                         ctx.sim(),
                         "jacobi",
                         jacobi_traffic(l),
-                        Some(jacobi_step_work(l, q_src, q_dst, K)),
+                        Some(jacobi_signed_region_work(l, q_src, q_dst, K, [0; 3], e)),
                     )
                 })
                 .collect();

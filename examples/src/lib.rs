@@ -27,83 +27,6 @@ pub fn jacobi_traffic(local: &LocalDomain) -> u64 {
     local.interior.extent.iter().product::<u64>() * 8 * 4
 }
 
-/// Build the simulated-kernel work closure for one 7-point Jacobi step on a
-/// subdomain: `dst = (1-6k)·src + k·(sum of 6 face neighbors)`, over the
-/// interior, reading halos exchanged beforehand. Radius must be ≥ 1.
-pub fn jacobi_step_work(local: &LocalDomain, q_src: usize, q_dst: usize, k: f32) -> Work {
-    let src = local.array(q_src).clone();
-    let dst = local.array(q_dst).clone();
-    let dims = local.array_dims();
-    let off = local.radius().neg();
-    let ext = local.interior.extent;
-    Box::new(move || {
-        if !src.has_data() {
-            return;
-        }
-        src.with_data(|s| {
-            dst.with_data(|d| {
-                for z in 0..ext[2] {
-                    for y in 0..ext[1] {
-                        for x in 0..ext[0] {
-                            let (ax, ay, az) = (x + off[0], y + off[1], z + off[2]);
-                            let c = get(s, dims, ax, ay, az);
-                            let n = get(s, dims, ax - 1, ay, az)
-                                + get(s, dims, ax + 1, ay, az)
-                                + get(s, dims, ax, ay - 1, az)
-                                + get(s, dims, ax, ay + 1, az)
-                                + get(s, dims, ax, ay, az - 1)
-                                + get(s, dims, ax, ay, az + 1);
-                            put(d, dims, ax, ay, az, (1.0 - 6.0 * k) * c + k * n);
-                        }
-                    }
-                }
-            })
-        });
-    })
-}
-
-/// Like [`jacobi_step_work`] but restricted to a sub-box of the interior
-/// (`lo..hi`, interior-relative). Used to split a step into an *inner*
-/// region (computable while halos are in flight) and the boundary *shell*
-/// (needs fresh halos) for communication/computation overlap.
-pub fn jacobi_region_work(
-    local: &LocalDomain,
-    q_src: usize,
-    q_dst: usize,
-    k: f32,
-    lo: [u64; 3],
-    hi: [u64; 3],
-) -> Work {
-    let src = local.array(q_src).clone();
-    let dst = local.array(q_dst).clone();
-    let dims = local.array_dims();
-    let off = local.radius().neg();
-    Box::new(move || {
-        if !src.has_data() {
-            return;
-        }
-        src.with_data(|s| {
-            dst.with_data(|d| {
-                for z in lo[2]..hi[2] {
-                    for y in lo[1]..hi[1] {
-                        for x in lo[0]..hi[0] {
-                            let (ax, ay, az) = (x + off[0], y + off[1], z + off[2]);
-                            let c = get(s, dims, ax, ay, az);
-                            let n = get(s, dims, ax - 1, ay, az)
-                                + get(s, dims, ax + 1, ay, az)
-                                + get(s, dims, ax, ay - 1, az)
-                                + get(s, dims, ax, ay + 1, az)
-                                + get(s, dims, ax, ay, az - 1)
-                                + get(s, dims, ax, ay, az + 1);
-                            put(d, dims, ax, ay, az, (1.0 - 6.0 * k) * c + k * n);
-                        }
-                    }
-                }
-            })
-        });
-    })
-}
-
 /// The shell of an interior box: the cell ranges *not* covered by the inner
 /// box `[w, ext-w)` on every axis, expressed as up to 6 disjoint sub-boxes.
 pub fn shell_boxes(ext: [u64; 3], w: u64) -> Vec<([u64; 3], [u64; 3])> {
@@ -123,10 +46,15 @@ pub fn shell_boxes(ext: [u64; 3], w: u64) -> Vec<([u64; 3], [u64; 3])> {
     ]
 }
 
-/// Like [`jacobi_region_work`] but with *signed* interior-relative bounds,
-/// so the update region may extend into the halo (temporal blocking /
-/// deep-halo schedules compute ghost rings to skip exchanges). The caller
-/// guarantees every read stays inside the allocated array.
+/// Build the simulated-kernel work closure for one 7-point Jacobi step,
+/// `dst = (1-6k)·src + k·(sum of 6 face neighbors)`, over the box
+/// `lo..hi`, reading halos exchanged beforehand. Bounds are
+/// interior-relative and signed: `[0; 3]..extent` is the whole interior; a
+/// sub-box splits a step into an inner region (computable while halos are
+/// in flight) and the boundary [`shell_boxes`]; bounds past the interior
+/// reach into the halo (temporal blocking / deep-halo schedules compute
+/// ghost rings to skip exchanges). Panics unless every read stays inside
+/// the allocated array.
 pub fn jacobi_signed_region_work(
     local: &LocalDomain,
     q_src: usize,

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use mpisim::{run_world, WorldConfig};
 use stencil_core::{DomainBuilder, Methods, Neighborhood};
-use stencil_examples::{jacobi_step_work, jacobi_traffic, SerialGrid};
+use stencil_examples::{jacobi_signed_region_work, jacobi_traffic, SerialGrid};
 use topo::summit::summit_cluster;
 
 fn jacobi_case(nodes: usize, rpn: usize, methods: Methods, cuda_aware: bool, steps: usize) {
@@ -37,11 +37,12 @@ fn jacobi_case(nodes: usize, rpn: usize, methods: Methods, cuda_aware: bool, ste
                 .locals()
                 .iter()
                 .map(|l| {
+                    let e = l.interior.extent.map(|v| v as i64);
                     l.launch_compute(
                         ctx.sim(),
                         "jacobi",
                         jacobi_traffic(l),
-                        Some(jacobi_step_work(l, qs, qd, K)),
+                        Some(jacobi_signed_region_work(l, qs, qd, K, [0; 3], e)),
                     )
                 })
                 .collect();
