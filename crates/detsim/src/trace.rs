@@ -5,6 +5,7 @@
 
 use std::fmt::Write as _;
 
+use crate::metrics::json_escape;
 use crate::time::SimTime;
 
 /// Identifies a trace track (rendered as one row / thread in the viewer).
@@ -107,19 +108,6 @@ impl Trace {
     /// microsecond timestamps). Hand-rolled writer: the format is trivial and
     /// this avoids a JSON dependency.
     pub fn to_chrome_json(&self) -> String {
-        fn esc(s: &str, out: &mut String) {
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-        }
         let mut out = String::from("{\"traceEvents\":[\n");
         let mut first = true;
         for (i, name) in self.tracks.iter().enumerate() {
@@ -130,7 +118,7 @@ impl Trace {
             out.push_str("{\"ph\":\"M\",\"pid\":0,\"tid\":");
             let _ = write!(out, "{i}");
             out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-            esc(name, &mut out);
+            json_escape(name, &mut out);
             out.push_str("\"}}");
         }
         for s in &self.spans {
@@ -141,9 +129,9 @@ impl Trace {
             out.push_str("{\"ph\":\"X\",\"pid\":0,\"tid\":");
             let _ = write!(out, "{}", s.track.0);
             out.push_str(",\"name\":\"");
-            esc(&s.name, &mut out);
+            json_escape(&s.name, &mut out);
             out.push_str("\",\"cat\":\"");
-            esc(s.category, &mut out);
+            json_escape(s.category, &mut out);
             let ts = s.start.picos() as f64 / 1e6; // ps -> us
             let dur = (s.end.picos().saturating_sub(s.start.picos())) as f64 / 1e6;
             let _ = write!(out, "\",\"ts\":{ts:.3},\"dur\":{dur:.3}}}");

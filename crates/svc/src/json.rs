@@ -8,7 +8,10 @@
 //! emits: objects, arrays, strings, finite numbers, booleans and `null`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+/// Append `s` to `out` with JSON string escaping: detsim's escaper, so
+/// service results escape exactly as metrics reports do.
+pub use detsim::metrics::json_escape as escape_into;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -303,22 +306,6 @@ impl<'a> Parser<'a> {
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
-        }
-    }
-}
-
-/// Append `s` to `out` with JSON string escaping (same rules as
-/// `MetricsReport::to_json`).
-pub fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
