@@ -54,9 +54,14 @@ want=$(summit_row BENCH_summit_fig12.json)
 test -n "$want"
 test "$(summit_row /tmp/summit_smoke.json)" = "$want"
 
-echo "==> chaos contracts, every scenario (chaos --quick --validate)"
-./target/release/chaos --quick --iters 2 --validate --metrics /tmp/chaos_smoke.json
+echo "==> chaos contracts, every scenario (chaos --quick --validate), with metrics on and off"
+./target/release/chaos --quick --iters 2 --validate --metrics /tmp/chaos_smoke.json | tee /tmp/chaos_metrics.txt
 test -s /tmp/chaos_smoke.json
+./target/release/chaos --quick --iters 2 --validate >/tmp/chaos_plain.txt
+if ! diff <(grep -v '^  metrics written to ' /tmp/chaos_metrics.txt) /tmp/chaos_plain.txt; then
+    echo "chaos: stdout with metrics off differs from the --metrics run"
+    exit 1
+fi
 
 echo "==> mapper smoke (mapperf --quick --validate)"
 ./target/release/mapperf --quick --validate
