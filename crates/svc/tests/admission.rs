@@ -91,6 +91,31 @@ fn timeout_cancels_a_running_job() {
 }
 
 #[test]
+fn timeout_resolves_a_queued_job_without_running() {
+    let service = Service::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 4,
+        default_timeout_ms: None,
+    });
+    let blocker = service.submit(slow("blocker")).expect("admitted");
+    let queued = service
+        .submit(tiny("late").timeout_ms(1))
+        .expect("admitted");
+    // The queued job's deadline passes while the blocker holds the worker.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    blocker.cancel();
+    assert_eq!(blocker.wait().status, JobStatus::Cancelled);
+    let r = queued.wait();
+    assert_eq!(r.status, JobStatus::TimedOut);
+    assert!(r.per_iter_s.is_empty(), "a timed-out queued job never ran");
+    assert_eq!(r.elapsed_virtual_ps, 0);
+    assert_eq!(r.error, None);
+    let stats = service.shutdown();
+    assert_eq!(stats.timed_out, 1);
+    assert_eq!(stats.cancelled, 1);
+}
+
+#[test]
 fn explicit_cancel_resolves_queued_and_running_jobs() {
     let service = Service::new(ServiceConfig {
         workers: 1,
