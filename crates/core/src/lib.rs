@@ -92,7 +92,6 @@ pub use partition::Partition;
 pub use placement::{Placement, PlacementStrategy};
 pub use radius::Radius;
 pub use resilience::{
-    resolve_node_placements, AdaptOutcome, AdaptPolicy, AdaptScope, Health, HealthMonitor,
-    MigrationMode, SkipReason,
+    AdaptOutcome, AdaptPolicy, AdaptScope, Health, HealthMonitor, MigrationMode, SkipReason,
 };
 pub use stats::PlanSummary;

@@ -20,9 +20,10 @@
 //!    [`AdaptOutcome`]: it short-circuits before any probe traffic when
 //!    the collective verdict is healthy or gated, re-probes empirical
 //!    bandwidths only where needed (the suspect node under
-//!    [`AdaptScope::Localized`]), re-solves the QAP, gates on the
-//!    predicted gain, and migrates subdomains quantity-by-quantity —
-//!    overlapped with each other under [`MigrationMode::Overlapped`].
+//!    [`AdaptScope::Localized`]), re-solves the QAP (a plain loop over
+//!    the nodes, on the rank's own thread), gates on the predicted gain,
+//!    and migrates subdomains quantity-by-quantity — overlapped with each
+//!    other under [`MigrationMode::Overlapped`].
 //!
 //! Every step is collective and deterministic: every rank reads the same
 //! totals and counters after a barrier, computes identical placements
@@ -37,7 +38,6 @@ use detsim::{Completion, LinkId};
 use gpusim::Buffer;
 use mpisim::{RankCtx, Request};
 
-use crate::dim3::{Boundary, Neighborhood};
 use crate::domain::{alloc_locals, DistributedDomain, DomainSpec};
 use crate::empirical::{distance_from_measured, measure_node_bandwidths, DEFAULT_PROBE_BYTES};
 use crate::exchange::{build_plans, exchange_totals};
@@ -45,7 +45,6 @@ use crate::local::LocalDomain;
 use crate::partition::Partition;
 use crate::placement::{flow_matrix_bc, place_with_distance, Placement, PlacementStrategy};
 use crate::qap;
-use crate::radius::Radius;
 
 /// Setup-channel tag for the adaptive re-placement all-gather / broadcast
 /// (outside the exchange-plan tag space `sid * 32 + dir` and the probe
@@ -461,67 +460,9 @@ impl HealthMonitor {
     }
 }
 
-/// Re-solve every node's placement QAP against its measured distance
-/// matrix (`rank_distances[n * ranks_per_node]` is node `n`'s matrix), in
-/// parallel across up to `threads` OS threads.
-///
-/// This is pure compute — no simulator interaction, no virtual time — so
-/// it is safe to run from inside a rank fiber; the event loop simply
-/// doesn't advance while it runs. Each node's solve writes into its own
-/// index-ordered slot and each solve is independently deterministic
-/// ([`PlacementStrategy::solve`] has no cross-instance state), so the
-/// result is **bit-identical** to the serial loop (`threads == 1`)
-/// regardless of thread count or interleaving — committed virtual times
-/// downstream cannot diverge. Pinned by `tests/parallel_resolve.rs`.
-#[allow(clippy::too_many_arguments)] // mirrors place_with_distance
-pub fn resolve_node_placements(
-    part: &Partition,
-    neighborhood: Neighborhood,
-    radius: &Radius,
-    quantities: usize,
-    elem_size: usize,
-    boundary: Boundary,
-    rank_distances: &[Vec<Vec<f64>>],
-    ranks_per_node: usize,
-    threads: usize,
-) -> Vec<Placement> {
-    let num_nodes = part.num_nodes();
-    assert!(rank_distances.len() >= num_nodes * ranks_per_node);
-    let mut out: Vec<Option<Placement>> = vec![None; num_nodes];
-    let threads = threads.clamp(1, num_nodes.max(1));
-    let chunk = num_nodes.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, slots) in out.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            s.spawn(move || {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    let n = start + off;
-                    let idx = part.node_from_linear(n);
-                    *slot = Some(place_with_distance(
-                        part,
-                        idx,
-                        &rank_distances[n * ranks_per_node],
-                        neighborhood,
-                        radius,
-                        quantities,
-                        elem_size,
-                        // Measured matrices use the size-dispatched ladder:
-                        // exhaustive on thin nodes, multilevel on fat ones.
-                        PlacementStrategy::Empirical,
-                        boundary,
-                    ));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|p| p.expect("every chunk filled its slots"))
-        .collect()
-}
-
 /// Probe every node's bandwidths, all-gather the measured distance
-/// matrices, and solve every node's QAP against its own measurement
-/// (collective). The probe copies ride the same links a halo exchange
+/// matrices, and solve every node's QAP against its own measurement, one
+/// node after another in node order (collective). The probe copies ride the same links a halo exchange
 /// would, so a degraded link shows in the matrices. Nodes can measure
 /// different matrices, and every rank must place every node identically
 /// (the exchange plan's partner resolution depends on it), hence the
@@ -535,23 +476,26 @@ pub(crate) fn probe_and_place_every_node(
     let bw = measure_node_bandwidths(ctx, DEFAULT_PROBE_BYTES);
     let d = distance_from_measured(&bw);
     let all: Vec<Vec<Vec<f64>>> = ctx.all_gather_obj(ADAPT_BW_TAG, d);
-    // Solver-only work outside the event loop, in parallel across OS
-    // threads with a deterministic slot-ordered reduction. Inputs are
-    // identical on every rank, so the solves are too.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let placements = resolve_node_placements(
-        part,
-        spec.neighborhood,
-        &spec.radius,
-        spec.quantities,
-        spec.elem_size,
-        spec.boundary,
-        &all,
-        ctx.ranks_per_node(),
-        threads,
-    );
+    // Pure solver work: no simulator call, no virtual time. The inputs
+    // are identical on every rank, so the solves are too.
+    let rpn = ctx.ranks_per_node();
+    let placements = (0..part.num_nodes())
+        .map(|n| {
+            place_with_distance(
+                part,
+                part.node_from_linear(n),
+                &all[n * rpn],
+                spec.neighborhood,
+                &spec.radius,
+                spec.quantities,
+                spec.elem_size,
+                // Measured matrices use the size-dispatched ladder:
+                // exhaustive on thin nodes, multilevel on fat ones.
+                PlacementStrategy::Empirical,
+                spec.boundary,
+            )
+        })
+        .collect();
     (placements, all)
 }
 
