@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
@@ -34,6 +35,42 @@ pub const CANCEL_PANIC: &str = "svc: job cancelled";
 
 /// Panic payload produced by the [`JobSpec::poison_at_iter`] chaos hook.
 pub const POISON_PANIC: &str = "svc: poisoned world (poison_at_iter hook)";
+
+/// When a job must stop: once [`Cancel::cancel`] is called, or once its
+/// wall-clock deadline passes. Every rank of the job's world checks both
+/// at each iteration boundary, so nothing outside the world has to watch
+/// the clock. Neither input reaches virtual time: a stopped world
+/// reports no measurements.
+#[derive(Debug)]
+pub struct Cancel {
+    flag: AtomicBool,
+    deadline: Option<Instant>,
+}
+
+impl Cancel {
+    /// A job that stops at `deadline`, or only when cancelled if `None`.
+    pub fn new(deadline: Option<Instant>) -> Cancel {
+        Cancel {
+            flag: AtomicBool::new(false),
+            deadline,
+        }
+    }
+
+    /// Request cancellation.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the deadline has passed at `at`.
+    pub fn timed_out(&self, at: Instant) -> bool {
+        self.deadline.is_some_and(|d| at >= d)
+    }
+
+    /// Whether the job must stop at `at`: cancelled, or out of time.
+    pub fn stopped(&self, at: Instant) -> bool {
+        self.flag.load(Ordering::Relaxed) || self.timed_out(at)
+    }
+}
 
 /// What one executed job measured.
 #[derive(Clone, Debug)]
@@ -52,13 +89,13 @@ pub struct RunOutcome {
 }
 
 /// Run the job described by `spec` to completion in a fresh world on the
-/// calling thread. With `cancel`, every rank checks the flag at each
-/// iteration boundary and, once it is set, the world unwinds with
-/// [`CANCEL_PANIC`]. Panics propagate (after the runtime's poison
+/// calling thread. With `cancel`, every rank checks it at each iteration
+/// boundary and, once the job is cancelled or past its deadline, the
+/// world unwinds with [`CANCEL_PANIC`]. Panics propagate (after the runtime's poison
 /// teardown) when a rank program panics — including cancellation unwinds
 /// and the poison chaos hook ([`POISON_PANIC`]); the service catches and
 /// classifies them.
-pub fn execute(spec: &JobSpec, cancel: Option<Arc<AtomicBool>>) -> RunOutcome {
+pub fn execute(spec: &JobSpec, cancel: Option<Arc<Cancel>>) -> RunOutcome {
     let num_ranks = spec.num_ranks();
     let times = Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
     let plan_out = Rc::new(RefCell::new(String::new()));
@@ -125,10 +162,8 @@ pub fn execute(spec: &JobSpec, cancel: Option<Arc<AtomicBool>>) -> RunOutcome {
         // timeout or cancellation, and must not be allocated up front.
         let mut mine = Vec::new();
         for i in 0..iters {
-            if let Some(flag) = &cancel {
-                if flag.load(Ordering::Relaxed) {
-                    std::panic::panic_any(CANCEL_PANIC);
-                }
+            if cancel.as_ref().is_some_and(|c| c.stopped(Instant::now())) {
+                std::panic::panic_any(CANCEL_PANIC);
             }
             if poison_at_iter == Some(i) && ctx.rank() == 0 {
                 std::panic::panic_any(POISON_PANIC);
@@ -210,11 +245,16 @@ mod tests {
         // catch.
         let absurd = tiny().iters(1 << 40).timeout_ms(60_000);
         assert_eq!(absurd.validate(), Ok(()));
-        for spec in [tiny(), absurd] {
-            let cancel = Some(Arc::new(AtomicBool::new(true)));
+        // One job cancelled before it starts, one whose deadline has
+        // already passed: both unwind at the first iteration boundary.
+        let cancelled = Cancel::new(None);
+        cancelled.cancel();
+        let expired = Cancel::new(Some(Instant::now()));
+        for (spec, cancel) in [(tiny(), cancelled), (absurd, expired)] {
+            let cancel = Some(Arc::new(cancel));
             let err =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&spec, cancel)))
-                    .expect_err("pre-set cancel flag must unwind the world");
+                    .expect_err("a stopped job must unwind the world");
             let msg = err
                 .downcast_ref::<&str>()
                 .copied()

@@ -20,34 +20,39 @@
 //! ([`crate::spec::JobSpec::validate`]) and submissions past the bounded
 //! queue's capacity never reach a worker.
 //!
+//! # Timeouts and cancellation
+//!
+//! A job's deadline covers queued and running time, and the worker
+//! enforces it itself: a job cancelled or out of time when it is
+//! dispatched resolves without running, and a running world checks its
+//! [`Cancel`] at every iteration boundary on every rank. The workers are
+//! the service's only threads.
+//!
 //! # Isolation
 //!
 //! Each job runs one simulated world on one worker thread
-//! ([`crate::runner::execute`], passed the job's cancel flag); worlds
-//! share nothing. A panicking world (bug, or the `poison_at_iter` chaos
-//! hook) is caught on the worker after the runtime's poison teardown,
-//! recorded as [`JobStatus::Panicked`], and the worker keeps serving —
-//! one poisoned world never takes down the service. Because each world is
+//! ([`crate::runner::execute`]); worlds share nothing. A panicking world
+//! (bug, or the `poison_at_iter` chaos hook) is caught on the worker
+//! after the runtime's poison teardown, recorded as
+//! [`JobStatus::Panicked`], and the worker keeps serving — one poisoned
+//! world never takes down the service. Because each world is
 //! single-threaded-deterministic, a job's committed virtual times are
 //! bit-identical whether it runs alone or beside 63 neighbors, on any
 //! worker count.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::result::{JobResult, JobStatus};
-use crate::runner::{execute, CANCEL_PANIC};
+use crate::runner::{execute, Cancel, CANCEL_PANIC};
 use crate::spec::JobSpec;
 use crate::store::ResultStore;
 
 /// Pass-advance numerator for stride scheduling. A tenant of weight `w`
 /// advances `STRIDE_UNIT / w` per dispatched job.
 pub const STRIDE_UNIT: u64 = 1 << 24;
-
-/// How often the monitor thread scans deadlines.
-const MONITOR_TICK: Duration = Duration::from_millis(2);
 
 /// Service construction knobs.
 #[derive(Clone, Debug)]
@@ -115,15 +120,14 @@ pub struct ServiceStats {
     pub rejected_invalid: u64,
 }
 
-/// Completion slot + cancellation flag shared between a handle and the
+/// Completion slot + stop conditions shared between a handle and the
 /// worker executing the job.
 struct JobCell {
     slot: Mutex<Option<JobResult>>,
     done_cv: Condvar,
-    /// Held as its own `Arc` so the runner can poll the same flag the
-    /// monitor and handle set (the `cancel` argument of
-    /// [`crate::runner::execute`]).
-    cancel: Arc<AtomicBool>,
+    /// Held as its own `Arc` so the runner's ranks read the same flag the
+    /// handle sets (the `cancel` argument of [`crate::runner::execute`]).
+    cancel: Arc<Cancel>,
 }
 
 /// A claim on one submitted job.
@@ -154,7 +158,7 @@ impl JobHandle {
     /// [`JobStatus::Cancelled`] at dispatch; a running job unwinds at its
     /// next iteration boundary.
     pub fn cancel(&self) {
-        self.cell.cancel.store(true, Ordering::Relaxed);
+        self.cell.cancel.cancel();
     }
 }
 
@@ -163,7 +167,6 @@ struct QueuedJob {
     spec: JobSpec,
     cell: Arc<JobCell>,
     submitted: Instant,
-    deadline: Option<Instant>,
 }
 
 struct Tenant {
@@ -180,16 +183,14 @@ struct Sched {
     /// Virtual time: the pass of the most recently dispatched job, used
     /// to clamp re-activating tenants so idling banks no credit.
     vtime: u64,
-    /// Deadline watch list: every live (queued or running) job with its
-    /// optional deadline, scanned by the monitor.
-    watched: Vec<(u64, Option<Instant>, Arc<JobCell>)>,
+    /// Counters so far, under the same lock as the queues.
+    stats: ServiceStats,
     shutdown: bool,
 }
 
 struct Shared {
     sched: Mutex<Sched>,
     work_cv: Condvar,
-    stats: Mutex<ServiceStats>,
     store: Option<ResultStore>,
     next_id: AtomicU64,
     queue_capacity: usize,
@@ -218,31 +219,20 @@ impl Service {
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched::default()),
             work_cv: Condvar::new(),
-            stats: Mutex::new(ServiceStats::default()),
             store,
             next_id: AtomicU64::new(1),
             queue_capacity: config.queue_capacity,
             default_timeout_ms: config.default_timeout_ms,
         });
-        let mut threads = Vec::new();
-        for w in 0..config.workers.max(1) {
-            let sh = Arc::clone(&shared);
-            threads.push(
+        let threads = (0..config.workers.max(1))
+            .map(|w| {
+                let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{w}"))
                     .spawn(move || worker_loop(&sh))
-                    .expect("spawn worker"),
-            );
-        }
-        {
-            let sh = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("svc-monitor".into())
-                    .spawn(move || monitor_loop(&sh))
-                    .expect("spawn monitor"),
-            );
-        }
+                    .expect("spawn worker")
+            })
+            .collect();
         Service { shared, threads }
     }
 
@@ -255,7 +245,7 @@ impl Service {
             spec.timeout_ms = self.shared.default_timeout_ms;
         }
         if let Err(msg) = spec.validate() {
-            self.shared.stats.lock().unwrap().rejected_invalid += 1;
+            self.shared.sched.lock().unwrap().stats.rejected_invalid += 1;
             return Err(Rejection::Invalid(msg));
         }
         let now = Instant::now();
@@ -264,16 +254,16 @@ impl Service {
         let cell = Arc::new(JobCell {
             slot: Mutex::new(None),
             done_cv: Condvar::new(),
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel: Arc::new(Cancel::new(deadline)),
         });
         {
             let mut sched = self.shared.sched.lock().unwrap();
             if sched.shutdown {
-                self.shared.stats.lock().unwrap().rejected_invalid += 1;
+                sched.stats.rejected_invalid += 1;
                 return Err(Rejection::Invalid("service is shut down".into()));
             }
             if sched.queued >= self.shared.queue_capacity {
-                self.shared.stats.lock().unwrap().rejected_queue_full += 1;
+                sched.stats.rejected_queue_full += 1;
                 return Err(Rejection::QueueFull {
                     capacity: self.shared.queue_capacity,
                 });
@@ -296,19 +286,17 @@ impl Service {
                 spec,
                 cell: Arc::clone(&cell),
                 submitted: now,
-                deadline,
             });
             sched.queued += 1;
-            sched.watched.push((id, deadline, Arc::clone(&cell)));
+            sched.stats.submitted += 1;
         }
-        self.shared.stats.lock().unwrap().submitted += 1;
         self.shared.work_cv.notify_one();
         Ok(JobHandle { id, cell })
     }
 
     /// Counters so far.
     pub fn stats(&self) -> ServiceStats {
-        *self.shared.stats.lock().unwrap()
+        self.shared.sched.lock().unwrap().stats
     }
 
     /// Jobs currently queued (excluding running).
@@ -383,25 +371,24 @@ fn worker_loop(shared: &Shared) {
 fn run_one(shared: &Shared, job: QueuedJob) {
     let dispatched = Instant::now();
     let queue_ms = dispatched.duration_since(job.submitted).as_secs_f64() * 1e3;
-    let deadline_passed = |at: Instant| job.deadline.is_some_and(|d| at >= d);
+    let cancel = &job.cell.cancel;
 
-    let (status, error, outcome) = if job.cell.cancel.load(Ordering::Relaxed) {
-        // Resolved before running: monitor timeout or explicit cancel.
-        let status = if deadline_passed(dispatched) {
+    let (status, error, outcome) = if cancel.stopped(dispatched) {
+        // Resolved before running: out of time or cancelled while queued.
+        let status = if cancel.timed_out(dispatched) {
             JobStatus::TimedOut
         } else {
             JobStatus::Cancelled
         };
         (status, None, None)
     } else {
-        let cancel = Some(Arc::clone(&job.cell.cancel));
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&job.spec, cancel)))
-        {
+        let run = || execute(&job.spec, Some(Arc::clone(cancel)));
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(outcome) => (JobStatus::Completed, None, Some(outcome)),
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
                 if msg == CANCEL_PANIC {
-                    let status = if deadline_passed(Instant::now()) {
+                    let status = if cancel.timed_out(Instant::now()) {
                         JobStatus::TimedOut
                     } else {
                         JobStatus::Cancelled
@@ -443,7 +430,7 @@ fn run_one(shared: &Shared, job: QueuedJob) {
         }
     }
     {
-        let mut stats = shared.stats.lock().unwrap();
+        let stats = &mut shared.sched.lock().unwrap().stats;
         match status {
             JobStatus::Completed => stats.completed += 1,
             JobStatus::Cancelled => stats.cancelled += 1,
@@ -451,34 +438,9 @@ fn run_one(shared: &Shared, job: QueuedJob) {
             JobStatus::Panicked => stats.panicked += 1,
         }
     }
-    {
-        let mut sched = shared.sched.lock().unwrap();
-        sched.watched.retain(|(id, _, _)| *id != job.id);
-    }
     let mut slot = job.cell.slot.lock().unwrap();
     *slot = Some(result);
     job.cell.done_cv.notify_all();
-}
-
-/// The monitor: periodically flips the cancel flag of any watched job
-/// past its deadline; workers classify the resulting unwind (or pre-run
-/// check) as [`JobStatus::TimedOut`].
-fn monitor_loop(shared: &Shared) {
-    loop {
-        {
-            let sched = shared.sched.lock().unwrap();
-            if sched.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            for (_, deadline, cell) in &sched.watched {
-                if deadline.is_some_and(|d| now >= d) {
-                    cell.cancel.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        std::thread::sleep(MONITOR_TICK);
-    }
 }
 
 /// Extract a human-readable message from a panic payload.
@@ -516,10 +478,9 @@ mod tests {
             cell: Arc::new(JobCell {
                 slot: Mutex::new(None),
                 done_cv: Condvar::new(),
-                cancel: Arc::new(AtomicBool::new(false)),
+                cancel: Arc::new(Cancel::new(None)),
             }),
             submitted: Instant::now(),
-            deadline: None,
         });
         sched.queued += 1;
     }
