@@ -26,11 +26,6 @@ impl PlanSummary {
         self.sends.values().map(|v| v.0).sum()
     }
 
-    /// Total bytes sent per exchange.
-    pub fn total_bytes(&self) -> u64 {
-        self.sends.values().map(|v| v.1).sum()
-    }
-
     /// Transfers using `m`.
     pub fn count(&self, m: Method) -> usize {
         self.sends.get(&m).map(|v| v.0).unwrap_or(0)
@@ -70,7 +65,7 @@ mod tests {
         assert_eq!(s.count(Method::Staged), 2);
         assert_eq!(s.bytes(Method::Staged), 150);
         assert_eq!(s.total_sends(), 3);
-        assert_eq!(s.total_bytes(), 160);
+        assert_eq!(s.bytes(Method::Kernel), 10);
         assert_eq!(s.count(Method::PeerMemcpy), 0);
     }
 

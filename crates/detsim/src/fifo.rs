@@ -35,7 +35,6 @@ struct Fifo {
     busy: bool,
     /// Waiting tasks with their submission times (for wait-time metrics).
     queue: VecDeque<(SimTime, Task)>,
-    completed: u64,
 }
 
 pub(crate) struct FifoTable {
@@ -55,7 +54,6 @@ impl Kernel {
             name: name.into(),
             busy: false,
             queue: VecDeque::new(),
-            completed: 0,
         });
         FifoId(self.fifos.fifos.len() - 1)
     }
@@ -87,28 +85,11 @@ impl Kernel {
         }
     }
 
-    /// Convenience: a task that simply occupies the FIFO for `service`
-    /// time. `on_done` runs when the FIFO is released.
-    pub fn fifo_submit_timed(
-        &mut self,
-        fifo: FifoId,
-        service: crate::time::SimDuration,
-        on_done: impl FnOnce(&mut Kernel) + 'static,
-    ) {
-        self.fifo_submit(fifo, move |k, token| {
-            k.schedule_in(service, move |k| {
-                k.fifo_task_done(token);
-                on_done(k);
-            });
-        });
-    }
-
     /// Release the FIFO held by `token`; starts the next queued task, if any.
     pub fn fifo_task_done(&mut self, token: FifoToken) {
         let now = self.now();
         let f = &mut self.fifos.fifos[token.fifo.0];
         debug_assert!(f.busy, "fifo_task_done without active task");
-        f.completed += 1;
         f.busy = !f.queue.is_empty();
         if let Some((submitted, next)) = f.queue.pop_front() {
             if self.metrics.is_enabled() {
@@ -121,17 +102,6 @@ impl Kernel {
             }
             next(self, FifoToken { fifo: token.fifo });
         }
-    }
-
-    /// Number of tasks that have completed on this FIFO.
-    pub fn fifo_completed(&self, fifo: FifoId) -> u64 {
-        self.fifos.fifos[fifo.0].completed
-    }
-
-    /// Tasks currently being served plus queued.
-    pub fn fifo_backlog(&self, fifo: FifoId) -> usize {
-        let f = &self.fifos.fifos[fifo.0];
-        usize::from(f.busy) + f.queue.len()
     }
 
     /// Human-readable FIFO name.
@@ -164,8 +134,11 @@ mod tests {
         let ends: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![]));
         for _ in 0..3 {
             let ends = Rc::clone(&ends);
-            k.fifo_submit_timed(f, SimDuration::from_micros(10), move |k| {
-                ends.borrow_mut().push(k.now().picos());
+            k.fifo_submit(f, move |k, token| {
+                k.schedule_in(SimDuration::from_micros(10), move |k| {
+                    k.fifo_task_done(token);
+                    ends.borrow_mut().push(k.now().picos());
+                });
             });
         }
         k.run_to_completion();
@@ -178,7 +151,6 @@ mod tests {
                 SimDuration::from_micros(30).picos()
             ]
         );
-        assert_eq!(k.fifo_completed(f), 3);
     }
 
     #[test]
@@ -211,11 +183,16 @@ mod tests {
         let mut k = Kernel::new();
         let f = k.add_fifo("q");
         for _ in 0..5 {
-            k.fifo_submit_timed(f, SimDuration::from_micros(1), |_| {});
+            k.fifo_submit(f, |k, token| {
+                k.schedule_in(SimDuration::from_micros(1), move |k| {
+                    k.fifo_task_done(token)
+                });
+            });
         }
-        assert_eq!(k.fifo_backlog(f), 5);
+        // One task served, four queued behind it.
+        assert_eq!(k.busy_fifos(), vec![("q".to_string(), 4)]);
         k.run_to_completion();
-        assert_eq!(k.fifo_backlog(f), 0);
+        assert!(k.busy_fifos().is_empty());
         assert_eq!(k.fifo_name(f), "q");
     }
 }

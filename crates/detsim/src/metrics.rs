@@ -276,27 +276,6 @@ impl Metrics {
         }
     }
 
-    /// Set a gauge level (tracking the max). No-op while disabled.
-    pub fn gauge_set(
-        &mut self,
-        subsystem: &'static str,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        value: f64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        match self
-            .values
-            .entry(make_id(subsystem, name, labels))
-            .or_insert(MetricValue::Gauge(Gauge::default()))
-        {
-            MetricValue::Gauge(g) => g.set(value),
-            _ => panic!("metric {subsystem}/{name} is not a gauge"),
-        }
-    }
-
     /// Adjust a gauge level by `delta` (tracking the max). No-op while
     /// disabled.
     pub fn gauge_add(
@@ -638,7 +617,7 @@ mod tests {
         let mut m = Metrics::new();
         m.enable();
         m.counter_add("flow", "link_delivered_bytes", &[("link", "a\"b")], 7);
-        m.gauge_set("flow", "active_flows", &[], 2.0);
+        m.gauge_add("flow", "active_flows", &[], 2.0);
         m.observe_weighted("flow", "link_utilization", &[("link", "nic")], 0.5, 0.25);
         let json = m.report().to_json();
         assert!(

@@ -99,11 +99,6 @@ impl Trace {
         &self.tracks[t.0]
     }
 
-    /// Number of registered tracks.
-    pub fn num_tracks(&self) -> usize {
-        self.tracks.len()
-    }
-
     /// Serialize as Chrome trace-event JSON ("X" complete events,
     /// microsecond timestamps). Hand-rolled writer: the format is trivial and
     /// this avoids a JSON dependency.
@@ -232,7 +227,6 @@ mod tests {
         tr.record(track, "copy", "memcpy", t(10), t(30));
         assert_eq!(tr.spans().len(), 2);
         assert_eq!(tr.track_name(track), "gpu0");
-        assert_eq!(tr.num_tracks(), 1);
     }
 
     #[test]

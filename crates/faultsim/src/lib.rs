@@ -233,11 +233,6 @@ impl FaultSchedule {
         })
     }
 
-    /// Whether the schedule contains rank kill/respawn events.
-    pub fn has_rank_events(&self) -> bool {
-        self.rank_events().next().is_some()
-    }
-
     /// Degrade `target` to `bandwidth_factor` x baseline bandwidth at `at`
     /// (latency unchanged).
     pub fn degrade(self, at: SimDuration, target: FaultTarget, bandwidth_factor: f64) -> Self {
@@ -247,24 +242,6 @@ impl FaultSchedule {
             action: FaultAction::Degrade {
                 bandwidth_factor,
                 latency_factor: 1.0,
-            },
-        })
-    }
-
-    /// Degrade `target`'s bandwidth *and* latency at `at`.
-    pub fn degrade_with_latency(
-        self,
-        at: SimDuration,
-        target: FaultTarget,
-        bandwidth_factor: f64,
-        latency_factor: f64,
-    ) -> Self {
-        self.push(FaultEvent {
-            at,
-            target,
-            action: FaultAction::Degrade {
-                bandwidth_factor,
-                latency_factor,
             },
         })
     }
@@ -647,7 +624,14 @@ mod tests {
             b: 1,
         };
         let s = FaultSchedule::new()
-            .degrade_with_latency(SimDuration::from_micros(10), target, 0.25, 2.0)
+            .push(FaultEvent {
+                at: SimDuration::from_micros(10),
+                target,
+                action: FaultAction::Degrade {
+                    bandwidth_factor: 0.25,
+                    latency_factor: 2.0,
+                },
+            })
             .restore(SimDuration::from_micros(20), target);
         s.install(&mut k, &m);
         let expected_lat = SimDuration::from_secs_f64(lat0.as_secs_f64() * 2.0);
@@ -727,7 +711,7 @@ mod tests {
             SimDuration::from_micros(10),
             SimDuration::from_micros(20),
         );
-        assert!(s.has_rank_events());
+        assert!(s.rank_events().next().is_some());
         let evs: Vec<_> = s.rank_events().collect();
         assert_eq!(
             evs,

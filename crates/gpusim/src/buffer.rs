@@ -102,25 +102,6 @@ impl Buffer {
         f(&mut g)
     }
 
-    /// Typed convenience: view as `f32` slice (length must be 4-aligned).
-    pub fn with_f32<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        self.with_data(|bytes| {
-            assert!(bytes.len() % 4 == 0, "buffer not f32-aligned");
-            // Safe reinterpretation: f32 has no invalid bit patterns and
-            // alignment of Vec<u8> data is sufficient via chunking copy.
-            // To stay fully safe, operate on a temporary view.
-            let mut tmp: Vec<f32> = bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            let r = f(&mut tmp);
-            for (c, v) in bytes.chunks_exact_mut(4).zip(&tmp) {
-                c.copy_from_slice(&v.to_le_bytes());
-            }
-            r
-        })
-    }
-
     /// Copy `len` bytes from `src[src_off..]` into `self[dst_off..]`,
     /// handling the aliasing (same allocation) case. No-op in virtual mode.
     /// This is the zero-time data-plane primitive the simulated transports
@@ -202,16 +183,6 @@ mod tests {
         let b = Buffer::new(Placement::Device(1), 1 << 40, false);
         assert!(!a.has_data());
         b.copy_from(0, &a, 0, 1 << 39); // no-op, must not panic
-    }
-
-    #[test]
-    fn f32_view_round_trips() {
-        let b = Buffer::new(Placement::Device(0), 12, true);
-        b.with_f32(|v| {
-            assert_eq!(v.len(), 3);
-            v[1] = 2.5;
-        });
-        b.with_f32(|v| assert_eq!(v[1], 2.5));
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl DigestGroup {
         let done = self.completed();
         done.windows(2).all(|w| w[0].bit_identical(w[1]))
     }
-
-    /// Mean wall-clock run milliseconds over completed results.
-    pub fn mean_run_ms(&self) -> f64 {
-        let done = self.completed();
-        if done.is_empty() {
-            return 0.0;
-        }
-        done.iter().map(|r| r.run_ms).sum::<f64>() / done.len() as f64
-    }
 }
 
 impl ResultStore {
@@ -123,11 +114,6 @@ impl ResultStore {
             .map(|(digest, results)| DigestGroup { digest, results })
             .collect())
     }
-
-    /// The persisted results of one workload.
-    pub fn query(&self, digest: &str) -> std::io::Result<Option<DigestGroup>> {
-        Ok(self.by_digest()?.into_iter().find(|g| g.digest == digest))
-    }
 }
 
 #[cfg(test)]
@@ -168,10 +154,10 @@ mod tests {
         assert_eq!(all.len(), 3);
         let groups = store.by_digest().unwrap();
         assert_eq!(groups.len(), 2);
-        let ga = store.query(&spec_a.digest()).unwrap().unwrap();
+        let ga = groups.iter().find(|g| g.digest == spec_a.digest()).unwrap();
         assert_eq!(ga.results.len(), 2);
+        assert_eq!(ga.completed().len(), 2);
         assert!(ga.bit_identical());
-        assert!(ga.mean_run_ms() > 10.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -183,8 +169,9 @@ mod tests {
         let spec = JobSpec::new("a", ClusterPreset::Summit { nodes: 1 }, 2, [64, 64, 64]);
         store.append(&result(1, "a", &spec, 1000)).unwrap();
         store.append(&result(2, "a", &spec, 1001)).unwrap();
-        let g = store.query(&spec.digest()).unwrap().unwrap();
-        assert!(!g.bit_identical());
+        let groups = store.by_digest().unwrap();
+        assert_eq!(groups.len(), 1);
+        assert!(!groups[0].bit_identical());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
