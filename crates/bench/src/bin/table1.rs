@@ -58,18 +58,22 @@ fn main() {
     // Zero-contention path capacities through the instantiated fabric.
     let mut k = Kernel::new();
     let fabric = Fabric::build(&mut k, summit_cluster(2));
+    let node = fabric.node_spec();
     println!("Zero-contention path capacities (GB/s) through the fabric:");
     let cases: Vec<(&str, Vec<detsim::LinkId>)> = vec![
         ("GPU0 -> GPU1 (triad)", fabric.gpu_gpu_path(0, 0, 1)),
         ("GPU0 -> GPU3 (cross-socket)", fabric.gpu_gpu_path(0, 0, 3)),
-        ("GPU0 -> host (D2H)", fabric.gpu_to_host_path(0, 0)),
+        (
+            "GPU0 -> host (D2H)",
+            fabric.node_path(0, node.gpu(0), node.cpu(0)),
+        ),
         (
             "host n0 -> host n1 (IB)",
-            fabric.internode_host_path(0, 0, 1, 0),
+            fabric.internode_path(0, node.cpu(0), 1, node.cpu(0)),
         ),
         (
             "GPU0@n0 -> GPU0@n1 (GPUDirect)",
-            fabric.internode_gpu_path(0, 0, 1, 0),
+            fabric.internode_path(0, node.gpu(0), 1, node.gpu(0)),
         ),
     ];
     for (name, path) in cases {

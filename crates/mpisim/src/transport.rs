@@ -442,12 +442,13 @@ impl MpiState {
             unreachable!("host route with device buffers");
         };
         let fabric = self.machine.fabric();
+        let (c1, c2) = (fabric.node_spec().cpu(s1), fabric.node_spec().cpu(s2));
         if n1 == n2 {
             let mut p = vec![self.shm_link[rank]];
-            p.extend(fabric.node_path(n1, fabric.node_spec().cpu(s1), fabric.node_spec().cpu(s2)));
+            p.extend(fabric.node_path(n1, c1, c2));
             (p, true)
         } else {
-            (fabric.internode_host_path(n1, s1, n2, s2), false)
+            (fabric.internode_path(n1, c1, n2, c2), false)
         }
     }
 
@@ -508,7 +509,7 @@ impl MpiState {
         let path = if n1 == n2 {
             fabric.node_path(n1, c1, c2)
         } else {
-            fabric.internode_comp_path(n1, c1, n2, c2)
+            fabric.internode_path(n1, c1, n2, c2)
         };
         let overhead = self.cfg.cuda_aware_overhead + self.protocol_latency(send.len);
         let bytes = send.len;

@@ -129,55 +129,13 @@ impl Fabric {
         self.node_path(node, self.spec.node.gpu(g1), self.spec.node.gpu(g2))
     }
 
-    /// Path for a device-to-host copy from GPU `g` to its socket's memory.
-    pub fn gpu_to_host_path(&self, node: usize, g: usize) -> Vec<LinkId> {
-        let s = self.spec.node.gpu_socket(g);
-        self.node_path(node, self.spec.node.gpu(g), self.spec.node.cpu(s))
-    }
-
-    /// Path for a host-to-device copy from GPU `g`'s socket memory to GPU `g`.
-    pub fn host_to_gpu_path(&self, node: usize, g: usize) -> Vec<LinkId> {
-        let s = self.spec.node.gpu_socket(g);
-        self.node_path(node, self.spec.node.cpu(s), self.spec.node.gpu(g))
-    }
-
-    /// Inter-node path between a source CPU socket and a destination CPU
-    /// socket: source-node fabric to the NIC, injection, ejection,
-    /// destination-node fabric from the NIC. Panics if `n1 == n2` (same-node
-    /// transfers never cross the switch; route them with [`Self::node_path`]).
-    pub fn internode_host_path(
-        &self,
-        n1: usize,
-        socket1: usize,
-        n2: usize,
-        socket2: usize,
-    ) -> Vec<LinkId> {
-        assert_ne!(n1, n2, "internode path within one node");
-        let nic = self.spec.node.nic(0);
-        let mut path = self.node_path(n1, self.spec.node.cpu(socket1), nic);
-        path.push(self.inject[n1]);
-        path.push(self.eject[n2]);
-        path.extend(self.node_path(n2, nic, self.spec.node.cpu(socket2)));
-        path
-    }
-
-    /// Inter-node path directly between two GPUs (the GPUDirect-style route
-    /// used by CUDA-aware MPI): source GPU to its node's NIC, across the
-    /// switch, NIC to destination GPU.
-    pub fn internode_gpu_path(&self, n1: usize, g1: usize, n2: usize, g2: usize) -> Vec<LinkId> {
-        assert_ne!(n1, n2, "internode path within one node");
-        let nic = self.spec.node.nic(0);
-        let mut path = self.node_path(n1, self.spec.node.gpu(g1), nic);
-        path.push(self.inject[n1]);
-        path.push(self.eject[n2]);
-        path.extend(self.node_path(n2, nic, self.spec.node.gpu(g2)));
-        path
-    }
-
-    /// Inter-node path between two arbitrary components (e.g. a GPU on one
-    /// node and a CPU socket on another, as in a CUDA-aware send with a
-    /// device buffer on one side only).
-    pub fn internode_comp_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
+    /// Inter-node path between component `c1` of node `n1` and component
+    /// `c2` of node `n2` (CPU sockets for host messages, GPUs for the
+    /// GPUDirect-style route of CUDA-aware MPI, or one of each): source-node
+    /// fabric to the NIC, injection, ejection, destination-node fabric from
+    /// the NIC. Panics if `n1 == n2` (same-node transfers never cross the
+    /// switch; route them with [`Self::node_path`]).
+    pub fn internode_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
         assert_ne!(n1, n2, "internode path within one node");
         let nic = self.spec.node.nic(0);
         let mut path = self.node_path(n1, c1, nic);
@@ -253,8 +211,9 @@ mod tests {
     #[test]
     fn d2h_and_h2d_are_distinct_directed_links() {
         let (_k, f) = small_cluster(1);
-        let d2h = f.gpu_to_host_path(0, 2);
-        let h2d = f.host_to_gpu_path(0, 2);
+        let (gpu, host) = (f.node_spec().gpu(2), f.node_spec().cpu(0));
+        let d2h = f.node_path(0, gpu, host);
+        let h2d = f.node_path(0, host, gpu);
         assert_eq!(d2h.len(), 1);
         assert_eq!(h2d.len(), 1);
         assert_ne!(d2h[0], h2d[0], "full duplex: directions are separate links");
@@ -263,7 +222,8 @@ mod tests {
     #[test]
     fn internode_path_crosses_switch() {
         let (k, f) = small_cluster(3);
-        let p = f.internode_host_path(0, 0, 2, 1);
+        let node = f.node_spec();
+        let p = f.internode_path(0, node.cpu(0), 2, node.cpu(1));
         assert!(p.contains(&f.injection_link(0)));
         // destination ejection link named n2.eject
         assert!(p.iter().any(|&l| k.link_name(l) == "n2.eject"));
@@ -274,7 +234,8 @@ mod tests {
     #[test]
     fn internode_gpu_path_endpoints() {
         let (k, f) = small_cluster(2);
-        let p = f.internode_gpu_path(0, 5, 1, 0);
+        let node = f.node_spec();
+        let p = f.internode_path(0, node.gpu(5), 1, node.gpu(0));
         // gpu5 is on socket 1: gpu->cpu1->nic hops then switch then nic->cpu0->gpu0
         assert!(p.len() >= 6);
         assert!(p.iter().any(|&l| k.link_name(l).contains("inject")));
@@ -284,7 +245,8 @@ mod tests {
     #[should_panic(expected = "internode")]
     fn same_node_internode_path_panics() {
         let (_k, f) = small_cluster(2);
-        let _ = f.internode_host_path(1, 0, 1, 0);
+        let cpu = f.node_spec().cpu(0);
+        let _ = f.internode_path(1, cpu, 1, cpu);
     }
 
     #[test]
@@ -303,7 +265,7 @@ mod tests {
                 switch_latency: SimDuration::ZERO,
             },
         );
-        assert_eq!(f.gpu_to_host_path(0, 0).len(), 1);
+        assert_eq!(f.node_path(0, g, c).len(), 1);
     }
 
     #[test]
