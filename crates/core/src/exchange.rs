@@ -30,7 +30,7 @@ use std::rc::Rc;
 
 use detsim::{Completion, Kernel, SimDuration, SimTime};
 use gpusim::{Buffer, GpuMachine, Stream, Work};
-use mpisim::{Channel, RankCtx};
+use mpisim::{partition_range, Channel, RankCtx};
 
 use crate::dim3::Dim3;
 use crate::domain::{DistributedDomain, DomainSpec};
@@ -178,14 +178,6 @@ pub(crate) struct Plans {
 /// nothing.
 pub(crate) fn partition_count(bytes: u64) -> usize {
     (bytes / 8192).clamp(1, 4) as usize
-}
-
-/// Byte range of partition `part` of `parts` over a `bytes`-long message —
-/// the same equal-chunk split `mpisim` uses on the wire.
-fn partition_range(bytes: u64, parts: usize, part: usize) -> (u64, u64) {
-    let chunk = bytes.div_ceil(parts as u64);
-    let off = part as u64 * chunk;
-    (off, chunk.min(bytes - off))
 }
 
 /// Tag slot of a consolidated message: direction slots 0..26 are taken by

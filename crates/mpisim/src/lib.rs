@@ -60,5 +60,5 @@ mod world;
 
 pub use config::MpiCostModel;
 pub use rank::RankCtx;
-pub use transport::{ChanKind, ChanSide, Channel, ChannelRound, Request};
+pub use transport::{partition_range, ChanKind, ChanSide, Channel, ChannelRound, Request};
 pub use world::{run_world, WorldConfig, WorldReport};

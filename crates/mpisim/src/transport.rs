@@ -93,6 +93,17 @@ impl ChanSide {
     }
 }
 
+/// Byte range `(offset, len)` of partition `part` of `parts` over a
+/// `len`-byte message: equal chunks of `len.div_ceil(parts)` bytes, the
+/// last ones shorter, and empty once the earlier chunks cover the message
+/// (5 bytes in 4 partitions: 2, 2, 1, 0). Partitioned channels move their
+/// partitions at these offsets, so a sender packs partition `part` here.
+pub fn partition_range(len: u64, parts: usize, part: usize) -> (u64, u64) {
+    let chunk = len.div_ceil(parts as u64);
+    let off = (part as u64 * chunk).min(len);
+    (off, chunk.min(len - off))
+}
+
 /// Handle to one end of a persistent or partitioned channel, created once
 /// at setup by [`RankCtx::send_init`](crate::RankCtx::send_init) and
 /// friends, then driven every iteration with
@@ -831,15 +842,13 @@ impl MpiState {
         } else {
             SimDuration::ZERO
         };
-        let chunk = send.len.div_ceil(st.parts as u64);
         let track = self.rank_track[send.rank];
         for part in 0..st.parts {
             if !round.ready[part] || round.launched[part] {
                 continue;
             }
             round.launched[part] = true;
-            let rel = part as u64 * chunk;
-            let bytes = chunk.min(send.len - rel);
+            let (rel, bytes) = partition_range(send.len, st.parts, part);
             if k.metrics.is_enabled() {
                 k.metrics
                     .counter_add("mpi", "transport_bytes", &[("transport", transport)], bytes);

@@ -413,3 +413,35 @@ fn device_buffers_rejected_on_channels() {
         }
     });
 }
+
+#[test]
+fn partitioned_short_message_delivers_every_byte() {
+    // 5 bytes in 4 partitions: chunks of 2 cover the message after three
+    // partitions, so the last one carries nothing.
+    let bytes = 5u64;
+    let parts = 4usize;
+    let ok = Rc::new(RefCell::new(false));
+    let o = Rc::clone(&ok);
+    run_world(cfg(1, 2), move |ctx| {
+        let m = ctx.machine();
+        if ctx.rank() == 0 {
+            let buf = m.alloc_host_untimed(0, 0, bytes);
+            buf.write(0, &[1, 2, 3, 4, 5]);
+            let ch = ctx.psend_init(&buf, 0, bytes, 1, 9, parts);
+            let r = ctx.start(&ch);
+            for p in 0..parts {
+                ctx.pready(&ch, p);
+            }
+            ctx.wait(&r.all);
+        } else {
+            let buf = m.alloc_host_untimed(0, 1, bytes);
+            let ch = ctx.precv_init(&buf, 0, bytes, 0, 9, parts);
+            let r = ctx.start(&ch);
+            ctx.wait(&r.all);
+            let mut got = [0u8; 5];
+            buf.read(0, &mut got);
+            *o.borrow_mut() = got == [1, 2, 3, 4, 5];
+        }
+    });
+    assert!(*ok.borrow(), "every byte must land");
+}
