@@ -7,6 +7,14 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> OS threads: only the service's worker pool starts them (crates/svc/src/service.rs)"
+spawns=$(grep -rnE 'std::thread::(spawn|scope|Builder)' --include='*.rs' crates examples tests || true)
+echo "$spawns"
+if grep -v '^crates/svc/src/service.rs:' <<<"$spawns" | grep -q .; then
+    echo "OS threads started outside crates/svc/src/service.rs"
+    exit 1
+fi
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
