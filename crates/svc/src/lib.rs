@@ -55,7 +55,7 @@ pub mod spec;
 pub mod store;
 
 pub use result::{JobResult, JobStatus};
-pub use runner::{execute, Cancel, RunOutcome, CANCEL_PANIC, POISON_PANIC};
+pub use runner::{execute, RunOutcome, CANCEL_PANIC, POISON_PANIC};
 pub use service::{JobHandle, Rejection, Service, ServiceConfig, ServiceStats};
 pub use spec::{ClusterPreset, FaultScenario, JobSpec};
 pub use store::{DigestGroup, ResultStore};
