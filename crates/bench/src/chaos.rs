@@ -186,7 +186,7 @@ impl AdaptScenario {
     /// ([`topo::presets::fat_node`]`(2, 2, 3)` — two NVLink islands per
     /// socket), exercising the placement ladder's *heuristic* rung end to end
     /// (12 > `qap::EXHAUSTIVE_MAX_N`, so both the initial placement and
-    /// `DistributedDomain::adapt`'s parallel re-solve run delta-2-opt/
+    /// `DistributedDomain::adapt`'s re-solve run delta-2-opt/
     /// multilevel, not exhaustive search). The detection threshold is lower
     /// than the triad's because 10 unaffected ranks dilute the degraded
     /// pair in the mean.

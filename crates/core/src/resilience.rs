@@ -462,12 +462,12 @@ impl HealthMonitor {
 
 /// Probe every node's bandwidths, all-gather the measured distance
 /// matrices, and solve every node's QAP against its own measurement, one
-/// node after another in node order (collective). The probe copies ride the same links a halo exchange
-/// would, so a degraded link shows in the matrices. Nodes can measure
-/// different matrices, and every rank must place every node identically
-/// (the exchange plan's partner resolution depends on it), hence the
-/// all-gather. Returns the placements and the gathered matrices
-/// (`[n * ranks_per_node]` is node `n`'s).
+/// node after another in node order (collective). The probe copies ride
+/// the same links a halo exchange would, so a degraded link shows in the
+/// matrices. Nodes can measure different matrices, and every rank must
+/// place every node identically (the exchange plan's partner resolution
+/// depends on it), hence the all-gather. Returns the placements and the
+/// gathered matrices (`[n * ranks_per_node]` is node `n`'s).
 pub(crate) fn probe_and_place_every_node(
     ctx: &RankCtx,
     part: &Partition,

@@ -91,10 +91,10 @@ pub struct RunOutcome {
 /// Run the job described by `spec` to completion in a fresh world on the
 /// calling thread. With `cancel`, every rank checks it at each iteration
 /// boundary and, once the job is cancelled or past its deadline, the
-/// world unwinds with [`CANCEL_PANIC`]. Panics propagate (after the runtime's poison
-/// teardown) when a rank program panics — including cancellation unwinds
-/// and the poison chaos hook ([`POISON_PANIC`]); the service catches and
-/// classifies them.
+/// world unwinds with [`CANCEL_PANIC`]. Panics propagate (after the
+/// runtime's poison teardown) when a rank program panics — including
+/// cancellation unwinds and the poison chaos hook ([`POISON_PANIC`]); the
+/// service catches and classifies them.
 pub fn execute(spec: &JobSpec, cancel: Option<Arc<Cancel>>) -> RunOutcome {
     let num_ranks = spec.num_ranks();
     let times = Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
