@@ -2,6 +2,7 @@
 //! across ranks and exchange halos.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mpisim::RankCtx;
 use topo::NodeDiscovery;
@@ -144,7 +145,9 @@ impl DomainBuilder {
 pub struct DistributedDomain {
     pub(crate) spec: DomainSpec,
     pub(crate) part: Partition,
-    pub(crate) placements: Vec<Placement>,
+    /// Every node's placement. Topology-derived placements are one table
+    /// per world, shared by every rank; a re-solve swaps in a new one.
+    pub(crate) placements: Rc<Vec<Placement>>,
     pub(crate) rank: usize,
     pub(crate) locals: Vec<LocalDomain>,
     pub(crate) plans: Plans,
@@ -167,13 +170,14 @@ impl DistributedDomain {
             // Empirical placement probes bandwidths *inside* the simulation
             // (collective per node, consumes virtual time), so it cannot be
             // memoized across ranks — each rank participates.
-            probe_and_place_every_node(ctx, &part, &spec).0
+            Rc::new(probe_and_place_every_node(ctx, &part, &spec).0)
         } else {
             // Topology-derived placement is a pure, deterministic function
             // of (partition, node topology, spec): every rank computes an
             // identical answer with no communication. Compute it once per
-            // world and share it — at 256+ nodes the per-rank recomputation
-            // is the dominant wall-clock cost of setup.
+            // world and share the one table — at 256+ nodes the per-rank
+            // recomputation is the dominant wall-clock cost of setup, and
+            // a copy per rank is `ranks × nodes` placements.
             let key = format!(
                 "stencil-core/placements/{:?}/{:?}/{}/{}/{:?}/{:?}/{:?}/{}n/{}g",
                 spec.size,
@@ -186,7 +190,7 @@ impl DistributedDomain {
                 num_nodes,
                 gpn,
             );
-            let shared = ctx.cached_setup(&key, || {
+            ctx.cached_setup(&key, || {
                 let discovery: &NodeDiscovery = machine.discovery();
                 let mut by_extent: HashMap<Dim3, Placement> = HashMap::new();
                 let mut placements = Vec::with_capacity(part.num_nodes());
@@ -212,8 +216,7 @@ impl DistributedDomain {
                     placements.push(pl);
                 }
                 placements
-            });
-            shared.as_ref().clone()
+            })
         };
 
         let locals = alloc_locals(ctx, &part, &placements, &spec);
@@ -295,4 +298,39 @@ pub(crate) fn alloc_locals(
         locals.push(local.unwrap_or_else(|e| panic!("allocating subdomain: {e}")));
     }
     locals
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use mpisim::{run_world, WorldConfig};
+    use topo::summit::summit_cluster;
+
+    use super::*;
+
+    /// Node-aware placement is solved once per world, and every rank reads
+    /// that one table: `placement(0)` is the same object on all twelve
+    /// ranks. Empirical placement measures inside the simulation, so there
+    /// each rank still solves, and holds, a table of its own.
+    #[test]
+    fn every_rank_reads_the_worlds_one_placement_table() {
+        let seen: Rc<RefCell<Vec<*const Placement>>> = Rc::new(RefCell::new(Vec::new()));
+        let s = Rc::clone(&seen);
+        run_world(WorldConfig::new(summit_cluster(2), 6), move |ctx| {
+            let dom = DomainBuilder::new([48, 40, 32])
+                .placement(PlacementStrategy::NodeAware)
+                .build(ctx);
+            s.borrow_mut().push(dom.placement(0));
+            // Every rank's domain lives until all have recorded, so two
+            // distinct tables cannot share an address.
+            ctx.barrier();
+        });
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 12);
+        assert!(
+            seen.iter().all(|&p| std::ptr::eq(p, seen[0])),
+            "ranks hold distinct placement tables"
+        );
+    }
 }
