@@ -194,10 +194,7 @@ fn host_staged(m: Method) -> bool {
 
 /// Pinned host staging for `device`: on its node, next to its socket.
 fn pinned_host(machine: &GpuMachine, device: usize, bytes: u64) -> Buffer {
-    let socket = machine
-        .fabric()
-        .node_spec()
-        .gpu_socket(machine.local_of(device));
+    let socket = machine.fabric().gpu_socket(machine.local_of(device));
     machine.alloc_host_untimed(machine.node_of(device), socket, bytes)
 }
 
