@@ -14,6 +14,7 @@
 use std::collections::VecDeque;
 
 use crate::kernel::Kernel;
+use crate::name::Name;
 use crate::time::SimTime;
 
 /// Identifies a FIFO resource.
@@ -31,7 +32,7 @@ pub struct FifoToken {
 type Task = Box<dyn FnOnce(&mut Kernel, FifoToken)>;
 
 struct Fifo {
-    name: String,
+    name: Name,
     busy: bool,
     /// Waiting tasks with their submission times (for wait-time metrics).
     queue: VecDeque<(SimTime, Task)>,
@@ -49,7 +50,7 @@ impl FifoTable {
 
 impl Kernel {
     /// Create a serial FIFO resource.
-    pub fn add_fifo(&mut self, name: impl Into<String>) -> FifoId {
+    pub fn add_fifo(&mut self, name: impl Into<Name>) -> FifoId {
         self.fifos.fifos.push(Fifo {
             name: name.into(),
             busy: false,
@@ -70,7 +71,7 @@ impl Kernel {
         if !f.busy {
             f.busy = true;
             if self.metrics.is_enabled() {
-                let name: &str = &self.fifos.fifos[fifo.0].name;
+                let name = self.fifos.fifos[fifo.0].name.get();
                 self.metrics
                     .observe("fifo", "wait_ps", &[("fifo", name)], 0.0);
             }
@@ -78,7 +79,7 @@ impl Kernel {
         } else {
             f.queue.push_back((now, Box::new(task)));
             if self.metrics.is_enabled() {
-                let name: &str = &self.fifos.fifos[fifo.0].name;
+                let name = self.fifos.fifos[fifo.0].name.get();
                 self.metrics
                     .gauge_add("fifo", "queue_depth", &[("fifo", name)], 1.0);
             }
@@ -93,7 +94,7 @@ impl Kernel {
         f.busy = !f.queue.is_empty();
         if let Some((submitted, next)) = f.queue.pop_front() {
             if self.metrics.is_enabled() {
-                let name: &str = &self.fifos.fifos[token.fifo.0].name;
+                let name = self.fifos.fifos[token.fifo.0].name.get();
                 let wait = now.since(submitted).picos() as f64;
                 self.metrics
                     .observe("fifo", "wait_ps", &[("fifo", name)], wait);
@@ -104,9 +105,10 @@ impl Kernel {
         }
     }
 
-    /// Human-readable FIFO name.
+    /// Human-readable FIFO name (formatted on its first read; see
+    /// [`Name`]).
     pub fn fifo_name(&self, fifo: FifoId) -> &str {
-        &self.fifos.fifos[fifo.0].name
+        self.fifos.fifos[fifo.0].name.get()
     }
 
     /// Diagnostic: each busy FIFO with the count of tasks queued behind it.
@@ -115,7 +117,7 @@ impl Kernel {
             .fifos
             .iter()
             .filter(|f| f.busy)
-            .map(|f| (f.name.clone(), f.queue.len()))
+            .map(|f| (f.name.get().to_string(), f.queue.len()))
             .collect()
     }
 }
@@ -194,5 +196,24 @@ mod tests {
         k.run_to_completion();
         assert!(k.busy_fifos().is_empty());
         assert_eq!(k.fifo_name(f), "q");
+    }
+
+    #[test]
+    fn deferred_name_reads_in_the_backlog() {
+        let mut k = Kernel::new();
+        let f = k.add_fifo(Name::deferred(
+            |[n, g, s, ..]| format!("n{n}.g{g}.s{s}"),
+            &[1, 2, 3],
+        ));
+        for _ in 0..2 {
+            k.fifo_submit(f, |k, token| {
+                k.schedule_in(SimDuration::from_micros(1), move |k| {
+                    k.fifo_task_done(token)
+                });
+            });
+        }
+        assert_eq!(k.busy_fifos(), vec![("n1.g2.s3".to_string(), 1)]);
+        assert_eq!(k.fifo_name(f), "n1.g2.s3");
+        k.run_to_completion();
     }
 }

@@ -53,6 +53,7 @@
 
 use crate::kernel::{Action, Kernel};
 use crate::metrics::Metrics;
+use crate::name::Name;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a link in the network.
@@ -114,7 +115,7 @@ impl FlowPath {
 }
 
 pub(crate) struct Link {
-    name: String,
+    name: Name,
     capacity: f64, // bytes per second
     latency: SimDuration,
     /// Flows currently on this link, unordered, as `(flow, hop index in
@@ -333,7 +334,7 @@ fn settle_link(link: &mut Link, metrics: &mut Metrics, now: SimTime, delta: f64)
     link.load += delta;
     if metrics.is_enabled() && dt > SimDuration::ZERO {
         let util = old_load / link.capacity;
-        let name: &str = &link.name;
+        let name = link.name.get();
         metrics.observe_weighted("flow", "link_utilization", &[("link", name)], util, secs);
         if old_load > 0.0 {
             metrics.counter_add("flow", "link_busy_ps", &[("link", name)], dt.picos());
@@ -358,7 +359,7 @@ impl Kernel {
     /// Add a link with the given capacity (bytes/second) and one-way latency.
     pub fn add_link(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         capacity_bps: f64,
         latency: SimDuration,
     ) -> LinkId {
@@ -441,9 +442,10 @@ impl Kernel {
         self.flows.links[link.0].latency
     }
 
-    /// Human-readable link name.
+    /// Human-readable link name (formatted on its first read; see
+    /// [`Name`]).
     pub fn link_name(&self, link: LinkId) -> &str {
-        &self.flows.links[link.0].name
+        self.flows.links[link.0].name.get()
     }
 
     /// Total bytes delivered over a link so far.
@@ -549,7 +551,7 @@ impl Kernel {
                 .as_ref()
                 .expect("flow just allocated");
             for &(l, _) in flow.path.hops() {
-                let name: &str = &self.flows.links[l.0].name;
+                let name = self.flows.links[l.0].name.get();
                 self.metrics
                     .gauge_add("flow", "link_active_flows", &[("link", name)], 1.0);
             }
@@ -717,7 +719,7 @@ impl Kernel {
                     link.load = 0.0;
                 }
                 if metrics.is_enabled() {
-                    let name: &str = &links[l.0].name;
+                    let name = links[l.0].name.get();
                     metrics.counter_add(
                         "flow",
                         "link_delivered_bytes",

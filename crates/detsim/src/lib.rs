@@ -55,6 +55,7 @@ mod fifo;
 mod flow;
 mod kernel;
 pub mod metrics;
+mod name;
 mod sched;
 mod time;
 pub mod trace;
@@ -63,5 +64,6 @@ pub use fifo::{FifoId, FifoToken};
 pub use flow::{FlowId, LinkId};
 pub use kernel::{Action, Completion, Kernel};
 pub use metrics::{Metrics, MetricsReport, SCHEMA_VERSION};
+pub use name::{Name, NAME_ARGS};
 pub use sched::{Program, Sim, SimCtx};
 pub use time::{SimDuration, SimTime, PS_PER_SEC};

@@ -6,6 +6,7 @@
 use std::fmt::Write as _;
 
 use crate::metrics::json_escape;
+use crate::name::Name;
 use crate::time::SimTime;
 
 /// Identifies a trace track (rendered as one row / thread in the viewer).
@@ -31,7 +32,7 @@ pub struct Span {
 /// [`Trace::enable`] is called.
 pub struct Trace {
     enabled: bool,
-    tracks: Vec<String>,
+    tracks: Vec<Name>,
     spans: Vec<Span>,
 }
 
@@ -62,8 +63,10 @@ impl Trace {
     }
 
     /// Register a named track. Call regardless of enablement so ids are
-    /// stable whether or not the trace records.
-    pub fn add_track(&mut self, name: impl Into<String>) -> TrackId {
+    /// stable whether or not the trace records. A deferred [`Name`] is
+    /// formatted when an export or [`Trace::track_name`] first reads it,
+    /// whether the track was added before or after [`Trace::enable`].
+    pub fn add_track(&mut self, name: impl Into<Name>) -> TrackId {
         self.tracks.push(name.into());
         TrackId(self.tracks.len() - 1)
     }
@@ -96,7 +99,7 @@ impl Trace {
 
     /// Name of track `t`.
     pub fn track_name(&self, t: TrackId) -> &str {
-        &self.tracks[t.0]
+        self.tracks[t.0].get()
     }
 
     /// Serialize as Chrome trace-event JSON ("X" complete events,
@@ -113,7 +116,7 @@ impl Trace {
             out.push_str("{\"ph\":\"M\",\"pid\":0,\"tid\":");
             let _ = write!(out, "{i}");
             out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-            json_escape(name, &mut out);
+            json_escape(name.get(), &mut out);
             out.push_str("\"}}");
         }
         for s in &self.spans {
@@ -156,7 +159,7 @@ impl Trace {
         let label_w = self
             .tracks
             .iter()
-            .map(|t| t.len())
+            .map(|t| t.get().len())
             .max()
             .unwrap_or(0)
             .min(28);
@@ -181,6 +184,7 @@ impl Trace {
             if !any {
                 continue;
             }
+            let tname = tname.get();
             let _ = writeln!(
                 out,
                 "{:>label_w$} |{}|",
@@ -242,6 +246,26 @@ mod tests {
         assert!(json.contains("\"ts\":5.000"));
         assert!(json.contains("\"dur\":10.000"));
         assert!(json.trim_end().ends_with("]}"));
+    }
+
+    #[test]
+    fn deferred_track_names_export_as_formatted_text() {
+        let mut tr = Trace::new();
+        let early = tr.add_track(Name::deferred(
+            |[n, g, ..]| format!("n{n}.g{g} default"),
+            &[0, 4],
+        ));
+        tr.enable();
+        let late = tr.add_track(Name::deferred(|[r, ..]| format!("rank{r} mpi"), &[1]));
+        tr.record(early, "pack", "kernel", t(0), t(10));
+        tr.record(late, "send", "mpi", t(10), t(20));
+        let json = tr.to_chrome_json();
+        assert!(json
+            .contains("\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"n0.g4 default\"}"));
+        assert!(json.contains("{\"name\":\"rank1 mpi\"}"));
+        let ascii = tr.to_ascii(40);
+        assert!(ascii.contains("n0.g4 default |"), "{ascii}");
+        assert_eq!(tr.track_name(late), "rank1 mpi");
     }
 
     #[test]

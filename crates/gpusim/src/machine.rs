@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use detsim::{FifoId, Kernel, LinkId};
+use detsim::{FifoId, Kernel, LinkId, Name};
 use topo::{ClusterSpec, Fabric, NodeDiscovery};
 
 use crate::buffer::{Buffer, Placement};
@@ -73,7 +73,7 @@ impl GpuMachine {
         for node in 0..num_nodes {
             for g in 0..gpus_per_node {
                 let engine = kernel.add_link(
-                    format!("n{node}.g{g}.engine"),
+                    Name::deferred(|[n, g, ..]| format!("n{n}.g{g}.engine"), &[node, g]),
                     cfg.pack_bandwidth,
                     cfg.kernel_launch_latency,
                 );
@@ -84,8 +84,14 @@ impl GpuMachine {
                     streams: Cell::new(1),
                 });
                 // Default stream: registry slot == global device id.
-                let fifo = kernel.add_fifo(format!("n{node}.g{g}.s0"));
-                let track = kernel.trace.add_track(format!("n{node}.g{g} default"));
+                let fifo = kernel.add_fifo(Name::deferred(
+                    |[n, g, ..]| format!("n{n}.g{g}.s0"),
+                    &[node, g],
+                ));
+                let track = kernel.trace.add_track(Name::deferred(
+                    |[n, g, ..]| format!("n{n}.g{g} default"),
+                    &[node, g],
+                ));
                 streams.push(StreamInfo {
                     device: node * gpus_per_node + g,
                     fifo,
@@ -248,10 +254,15 @@ impl GpuMachine {
         let local = self.local_of(device);
         let count = &self.inner.devices[device].streams;
         let per_dev = count.get();
-        let fifo = k.add_fifo(format!("n{node}.g{local}.s{per_dev}"));
-        let track = k
-            .trace
-            .add_track(format!("n{node}.g{local} stream{per_dev}"));
+        let args = [node, local, per_dev];
+        let fifo = k.add_fifo(Name::deferred(
+            |[n, g, s, ..]| format!("n{n}.g{g}.s{s}"),
+            &args,
+        ));
+        let track = k.trace.add_track(Name::deferred(
+            |[n, g, s, ..]| format!("n{n}.g{g} stream{s}"),
+            &args,
+        ));
         count.set(per_dev + 1);
         streams.push(StreamInfo {
             device,

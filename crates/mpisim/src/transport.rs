@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use detsim::{Completion, Kernel, LinkId, SimDuration, SimTime};
+use detsim::{Completion, Kernel, LinkId, Name, SimDuration, SimTime};
 use faultsim::{FaultAction, FaultSchedule};
 use gpusim::{Buffer, GpuMachine, Placement};
 
@@ -272,8 +272,15 @@ impl MpiState {
         let mut shm_link = Vec::with_capacity(num_ranks);
         let mut rank_track = Vec::with_capacity(num_ranks);
         for r in 0..num_ranks {
-            shm_link.push(k.add_link(format!("r{r}.shm"), cfg.shm_bandwidth, cfg.shm_latency));
-            rank_track.push(k.trace.add_track(format!("rank{r} mpi")));
+            shm_link.push(k.add_link(
+                Name::deferred(|[r, ..]| format!("r{r}.shm"), &[r]),
+                cfg.shm_bandwidth,
+                cfg.shm_latency,
+            ));
+            rank_track.push(
+                k.trace
+                    .add_track(Name::deferred(|[r, ..]| format!("rank{r} mpi"), &[r])),
+            );
         }
         let release = k.completion();
         Rc::new(MpiState {
