@@ -346,11 +346,18 @@ impl Kernel {
 
     /// Register sim thread `tid` as a waiter. Returns `true` if the
     /// completion was already done (no registration happened).
+    ///
+    /// A rank that blocks again on a completion still pending (`wait_any`
+    /// re-arming after another of its completions woke it) is not pushed
+    /// again when it is already the last waiter: waking a rank twice in a
+    /// row is a no-op, so the schedule is unchanged.
     pub(crate) fn add_waiter(&mut self, c: &Completion, tid: usize) -> bool {
         let mut st = c.0.borrow_mut();
         match &mut *st {
             CompletionState::Pending { waiters, .. } => {
-                waiters.push(tid);
+                if waiters.last() != Some(&tid) {
+                    waiters.push(tid);
+                }
                 false
             }
             CompletionState::Done => true,
@@ -557,6 +564,29 @@ mod tests {
         let mut k = Kernel::new();
         let c = k.completion();
         assert!(!k.run_until(&c));
+    }
+
+    fn waiter_count(c: &Completion) -> usize {
+        match &*c.0.borrow() {
+            CompletionState::Pending { waiters, .. } => waiters.len(),
+            CompletionState::Done => 0,
+        }
+    }
+
+    #[test]
+    fn a_rank_blocking_again_on_a_pending_completion_is_registered_once() {
+        let mut sim = crate::Sim::new();
+        sim.run(1, |ctx| {
+            let slow = ctx.with_kernel(|k| k.completion_in(SimDuration::from_micros(100)));
+            for round in 1..=3 {
+                let tick = ctx.with_kernel(|k| k.completion_in(SimDuration::from_micros(10)));
+                assert_eq!(ctx.wait_any(&[slow.clone(), tick]), 1);
+                assert_eq!(waiter_count(&slow), 1, "round {round}");
+            }
+            // Still registered once, and the completion still wakes it.
+            assert_eq!(ctx.wait_any(std::slice::from_ref(&slow)), 0);
+            assert_eq!(ctx.now(), SimTime::ZERO + SimDuration::from_micros(100));
+        });
     }
 
     #[test]
