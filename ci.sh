@@ -33,22 +33,37 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
 
-echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes; table1, fig3, fig4, fig9 take no flags; each twice, stdout must repeat)"
+echo "==> figure smoke (fig11, fig12a-c, fig13, ablation at 2 nodes; table1, fig3, fig4, fig9 take no flags; each twice, stdout, fig9's trace and fig12b's metrics JSON must repeat)"
+# smoke_twice ARTIFACT BIN ARGS...: run BIN twice; the two stdouts must
+# match, and so must the two copies of ARTIFACT, a file each run writes
+# ("-" for none). The trace and metrics carry every link, FIFO and track
+# name, which are formatted when first read.
 smoke_twice() {
+    local artifact=$1
+    shift
+    rm -f /tmp/fig_smoke_artifact_1
+    [ "$artifact" = - ] || rm -f "$artifact"
     ./target/release/"$@" >/tmp/fig_smoke_1.txt
+    [ "$artifact" = - ] || mv "$artifact" /tmp/fig_smoke_artifact_1
     ./target/release/"$@" >/tmp/fig_smoke_2.txt
     if ! cmp -s /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt; then
         echo "$1: two runs printed different stdout"
         diff /tmp/fig_smoke_1.txt /tmp/fig_smoke_2.txt || true
         exit 1
     fi
+    if [ "$artifact" != - ] && ! cmp /tmp/fig_smoke_artifact_1 "$artifact"; then
+        echo "$1: two runs wrote different $artifact"
+        exit 1
+    fi
 }
-for b in fig11 fig12a fig12b fig12c fig13 ablation; do
-    smoke_twice $b --max-nodes 2 --iters 1
+for b in fig11 fig12a fig12c fig13 ablation; do
+    smoke_twice - $b --max-nodes 2 --iters 1
 done
-for b in table1 fig3 fig4 fig9; do
-    smoke_twice $b
+smoke_twice /tmp/fig12b_smoke.json fig12b --max-nodes 2 --iters 1 --metrics /tmp/fig12b_smoke.json
+for b in table1 fig3 fig4; do
+    smoke_twice - $b
 done
+smoke_twice fig9_trace.json fig9
 
 echo "==> example smoke (all seven; five assert their distributed result)"
 for e in quickstart jacobi3d wave3d deep_halo irregular_halo placement_explorer topology_report; do
